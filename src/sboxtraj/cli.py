@@ -15,17 +15,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import metrics as metrics_mod
+from .metrics import METRIC_NAMES, SPECTRAL_METRICS, cross_correlation_fast, metric_value
 from .rng import RngStream
 from .sbox import SBoxError, parse_sbox, serialize_sbox
-from .search import ls_hwf
+from .search import check_search_width, ls_hwf
 from .trajectory import METRICS, ExperimentSummary, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRELIABLE = 2
-
-METRIC_CHOICES = ("ccv", "to", "mto0", "rto0", "mto", "rto")
 
 
 class CliError(Exception):
@@ -40,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
 def _check_n(n: int) -> None:
     if not 2 <= n <= 16:
         raise CliError(f"--n must be in 2..16, got {n}")
+
+
+def _check_out_file(path: str | None, flag: str) -> None:
+    """Fail before any work when `path` cannot be written as a file."""
+    if path is None:
+        return
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise CliError(f"{flag}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise CliError(f"{flag}: {out} is a directory")
 
 
 def _fmt(value: float) -> str:
@@ -60,26 +69,13 @@ def cmd_metrics(args) -> int:
     if not names:
         raise CliError("no metrics requested")
     for name in names:
-        if name not in METRIC_CHOICES:
-            raise CliError(f"unknown metric {name!r}; choose from {','.join(METRIC_CHOICES)}")
+        if name not in METRIC_NAMES:
+            raise CliError(f"unknown metric {name!r}; choose from {','.join(METRIC_NAMES)}")
 
     table = None
-    if any(name in ("mto0", "rto0", "mto", "rto") for name in names):
-        table = metrics_mod.cross_correlation(sbox)
-    values = {}
-    for name in names:
-        if name == "ccv":
-            values[name] = metrics_mod.ccv(sbox)
-        elif name == "to":
-            values[name] = metrics_mod.transparency_order(sbox, table)
-        elif name == "mto0":
-            values[name] = metrics_mod.mto_beta_zero(sbox, table)
-        elif name == "rto0":
-            values[name] = metrics_mod.rto_beta_zero(sbox, table)
-        elif name == "mto":
-            values[name] = metrics_mod.mto(sbox, table)
-        elif name == "rto":
-            values[name] = metrics_mod.rto(sbox, table)
+    if any(name in SPECTRAL_METRICS for name in names):
+        table = cross_correlation_fast(sbox)
+    values = {name: metric_value(sbox, name, table) for name in names}
 
     if args.format == "json":
         print(json.dumps(values, indent=2))
@@ -91,6 +87,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_out_file(args.out, "--out")
+    _check_out_file(args.emit_climbs, "--emit-climbs")
     result = ls_hwf(args.n, RngStream(args.seed))
     text = serialize_sbox(result.final)
     if args.out:
@@ -149,13 +147,18 @@ def _write_summary_json(path: Path, summary: ExperimentSummary) -> None:
 
 
 def cmd_experiment(args) -> int:
-    _check_n(args.n)
+    check_search_width(args.n)
     if args.metric not in METRICS:
         raise CliError(f"--metric must be one of {','.join(METRICS)}")
     if args.runs < 2:
         raise CliError(f"--runs must be >= 2, got {args.runs}")
     if args.sample_size is not None and args.sample_size < 1:
         raise CliError(f"--sample-size must be >= 1, got {args.sample_size}")
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create --out-dir: {exc}") from None
 
     summary = run_experiment(
         n=args.n,
@@ -164,8 +167,6 @@ def cmd_experiment(args) -> int:
         sample_size=args.sample_size,
         master_seed=args.seed,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectories_csv(out_dir / "trajectories.csv", summary)
     _write_summary_json(out_dir / "summary.json", summary)
 
@@ -183,12 +184,16 @@ def cmd_export_plot(args) -> int:
     src = Path(args.in_dir) / "trajectories.csv"
     if not src.is_file():
         raise CliError(f"no trajectories.csv in {args.in_dir}")
+    _check_out_file(args.out, "--out")
     with open(src, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"]:
             raise CliError(f"unexpected header in {src}")
         rows = list(reader)
+    for line_no, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise CliError(f"{src} line {line_no}: {len(row)} fields, expected {len(header)}")
 
     lines = []
     current_run = None
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics",
         default="ccv,to,mto0,rto0",
-        help=f"comma-separated subset of {','.join(METRIC_CHOICES)}",
+        help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_metrics)

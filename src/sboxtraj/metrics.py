@@ -8,9 +8,12 @@ Component i of an S-box output is bit i (least-significant first), and bit i
 of a pre-charge value beta addresses the same component.
 
 The cross-correlation spectrum C[i, j, a] = sum_x (-1)^(F_i(x) xor F_j(x^a))
-is the shared backbone of TO/MTO/RTO.  It has a direct O(m^2 4^n) evaluation
-(`cross_correlation_naive`) and an exactly equivalent O(m^2 2^n n) fast path
-via the Walsh-Hadamard correlation theorem (`cross_correlation_fast`).
+is the shared backbone of TO/MTO/RTO.  It is computed in O(m^2 2^n n) via the
+Walsh-Hadamard correlation theorem (`cross_correlation_fast`); the tests
+check it entry-for-entry against direct summation.
+
+`metric_value` is the one map from a metric name to its function, shared by
+the CLI and the experiment driver.
 """
 
 from dataclasses import dataclass
@@ -126,39 +129,54 @@ def ccv(sbox: SBox) -> float:
     return ccv_key(sbox).value
 
 
+def swap_deltas(
+    h: np.ndarray, values: np.ndarray, i: int, js: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profile changes of swapping the outputs at i and at each j in js.
+
+    h is the int64 Hamming-weight table and values the current profile.
+    Returns (ds, dsum, dsum2): ds[r, d - 1] is the change of values[d] for
+    the swap (i, js[r]), dsum its row sums (the change of sum(S)) and dsum2
+    the change of sum(S^2).  Only the summands at x in {i, j, i^d, j^d} change
+    for each difference d, so a row costs O(2^n) instead of O(4^n).
+    """
+    deltas = np.arange(1, h.size)
+    hi = h[i]
+    hj = h[js]
+    hid = h[i ^ deltas]
+    hjd = h[js[:, None] ^ deltas[None, :]]
+    da = hj[:, None] - hid[None, :]
+    db = hi - hid
+    dc = hi - hjd
+    dd = hj[:, None] - hjd
+    ds = 2 * (da * da - (db * db)[None, :] + dc * dc - dd * dd)
+    # d = i^j maps the pair {i, j} to itself: no change there.
+    ds[np.arange(js.size), (i ^ js) - 1] = 0
+    dsum = ds.sum(axis=1)
+    dsum2 = (ds * (ds + 2 * values[1:][None, :])).sum(axis=1)
+    return ds, dsum, dsum2
+
+
 def ccv_incremental(
     sbox: SBox, key: CcvKey, profile: KappaProfile, i: int, j: int
 ) -> tuple[CcvKey, KappaProfile]:
     """Key and profile of swap_outputs(sbox, i, j), by delta update.
 
-    Only the summands at x in {i, j, i^d, j^d} change for each difference d,
-    so the update costs O(2^n) instead of O(4^n).  The result equals a full
-    recomputation exactly.
+    The update is one row of `swap_deltas` and equals a full recomputation
+    exactly.
     """
     size = sbox.size
     if i == j or not (0 <= i < size and 0 <= j < size):
         raise IndexOutOfRangeError(f"swap positions ({i}, {j}) invalid for size {size}")
     h = _hw_table(sbox)
-    hi = int(h[i])
-    hj = int(h[j])
-    if hi == hj:
+    if h[i] == h[j]:
         # Equal-weight swap: the HW sequence, hence the profile, is unchanged.
         return key, profile
-    deltas = np.arange(1, size)
-    hid = h[i ^ deltas]
-    hjd = h[j ^ deltas]
-    ds = 2 * (
-        (hj - hid) * (hj - hid)
-        - (hi - hid) * (hi - hid)
-        + (hi - hjd) * (hi - hjd)
-        - (hj - hjd) * (hj - hjd)
-    )
-    # The pair {i, j} maps to itself under d = i^j and contributes no change.
-    ds[(i ^ j) - 1] = 0
+    ds, dsum, dsum2 = swap_deltas(h, profile.values, i, np.array([j]))
     new_values = profile.values.copy()
-    new_values[1:] += ds
-    new_sum_s = key.sum_s + int(ds.sum())
-    new_sum_s2 = key.sum_s2 + int(np.dot(ds, ds + 2 * profile.values[1:]))
+    new_values[1:] += ds[0]
+    new_sum_s = key.sum_s + int(dsum[0])
+    new_sum_s2 = key.sum_s2 + int(dsum2[0])
     new_key = CcvKey(
         key.n,
         key.count,
@@ -188,24 +206,12 @@ class CrossCorrelationTable:
         self.c.flags.writeable = False
 
 
-def cross_correlation_naive(sbox: SBox) -> CrossCorrelationTable:
-    """Direct O(m^2 4^n) summation of the cross-correlation spectrum."""
-    signs = _component_signs(sbox)
-    size = sbox.size
-    xs = np.arange(size)
-    c = np.empty((sbox.m, sbox.m, size), dtype=np.int64)
-    for a in range(size):
-        shifted = signs[:, xs ^ a]
-        c[:, :, a] = signs @ shifted.T
-    return CrossCorrelationTable(sbox.n, sbox.m, c)
-
-
 def cross_correlation_fast(sbox: SBox) -> CrossCorrelationTable:
     """Cross-correlation spectrum via the Walsh-Hadamard correlation theorem.
 
     For each component pair the correlation sequence is the inverse transform
     of the pointwise product of the components' spectra; all divisions are
-    exact, so the table equals the naive one entry-for-entry.
+    exact, so the table equals direct summation entry-for-entry.
     """
     signs = _component_signs(sbox)
     spectra = _fwht_rows(signs)
@@ -214,13 +220,6 @@ def cross_correlation_fast(sbox: SBox) -> CrossCorrelationTable:
     for i in range(sbox.m):
         c[i] = _fwht_rows(spectra[i][None, :] * spectra) // size
     return CrossCorrelationTable(sbox.n, sbox.m, c)
-
-
-def cross_correlation(sbox: SBox) -> CrossCorrelationTable:
-    """Default spectrum: naive summation up to n = 5, fast transform above."""
-    if sbox.n <= 5:
-        return cross_correlation_naive(sbox)
-    return cross_correlation_fast(sbox)
 
 
 def _norm_denominator(sbox: SBox) -> int:
@@ -258,7 +257,7 @@ def mto_beta(sbox: SBox, beta: int, table: CrossCorrelationTable | None = None) 
     the absolute value sits inside the outer component sum.
     """
     if table is None:
-        table = cross_correlation(sbox)
+        table = cross_correlation_fast(sbox)
     signs = _beta_signs(sbox, beta)
     inner = np.einsum("i,ija->ja", signs, table.c)
     # |s_j * inner[j]| = |inner[j]| since s_j is a sign.
@@ -273,7 +272,7 @@ def rto_beta(sbox: SBox, beta: int, table: CrossCorrelationTable | None = None) 
     sums, so rto_beta >= mto_beta pointwise.
     """
     if table is None:
-        table = cross_correlation(sbox)
+        table = cross_correlation_fast(sbox)
     signs = _beta_signs(sbox, beta)
     inner = np.einsum("i,ija->ja", signs, table.c)
     outer = signs @ inner
@@ -298,12 +297,38 @@ def mto(sbox: SBox, table: CrossCorrelationTable | None = None) -> float:
     representatives with the top component clear are enumerated.
     """
     if table is None:
-        table = cross_correlation(sbox)
+        table = cross_correlation_fast(sbox)
     return max(mto_beta(sbox, beta, table) for beta in range(1 << (sbox.m - 1)))
 
 
 def rto(sbox: SBox, table: CrossCorrelationTable | None = None) -> float:
     """Full RTO: maximum of rto_beta over complement representatives."""
     if table is None:
-        table = cross_correlation(sbox)
+        table = cross_correlation_fast(sbox)
     return max(rto_beta(sbox, beta, table) for beta in range(1 << (sbox.m - 1)))
+
+
+METRIC_NAMES = ("ccv", "to", "mto0", "rto0", "mto", "rto")
+# Metrics read from the full cross-correlation spectrum; TO reuses it too.
+SPECTRAL_METRICS = ("mto0", "rto0", "mto", "rto")
+
+
+def metric_value(sbox: SBox, name: str, table: CrossCorrelationTable | None = None) -> float:
+    """Evaluate the metric called `name`, reusing `table` when one is given.
+
+    The names resolve to this module's functions at call time, so a wrapper
+    installed on a module attribute sees every evaluation.
+    """
+    if name == "ccv":
+        return ccv(sbox)
+    if name == "to":
+        return transparency_order(sbox, table)
+    if name == "mto0":
+        return mto_beta_zero(sbox, table)
+    if name == "rto0":
+        return rto_beta_zero(sbox, table)
+    if name == "mto":
+        return mto(sbox, table)
+    if name == "rto":
+        return rto(sbox, table)
+    raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")

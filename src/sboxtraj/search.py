@@ -8,17 +8,18 @@ in place as soon as its exact integer CCV key strictly exceeds the
 incumbent's, and the scan continues from the following pair; the search stops
 after a full pass without any acceptance, i.e. at a local maximum.
 
-Candidates are evaluated with an O(2^n) delta update of the integer profile
-(the batch below mirrors `metrics.ccv_incremental`); acceptance order is
-identical to evaluating pairs one at a time.
+Candidates are evaluated in batches by `metrics.swap_deltas`, the O(2^n)
+delta update of the integer profile that `metrics.ccv_incremental` also uses;
+acceptance order is identical to evaluating pairs one at a time.  The batch
+arithmetic is int64, so the search supports only the widths where it cannot
+overflow (n <= 11).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import CcvKey, ccv_key_from_profile, kappa_profile
+from .metrics import CcvKey, ccv_key_from_profile, kappa_profile, swap_deltas
 from .rng import RngStream
 from .sbox import SBox, SBoxError, random_bijective_sbox
 
@@ -59,20 +60,19 @@ def _int64_sweep_safe(count: int, size: int, m: int) -> bool:
     return 2 * (count * size * m * m) ** 2 < 2**62
 
 
-def ls_hwf(
-    n: int,
-    rng: RngStream,
-    observer: Optional[Callable[[ClimbEvent], None]] = None,
-    verify_steps: bool = False,
-) -> SearchResult:
+def check_search_width(n: int) -> None:
+    """Raise SBoxError unless n >= 2 and the int64 sweep is exact at n."""
+    if n < 2 or not _int64_sweep_safe((1 << n) - 1, 1 << n, n):
+        raise SBoxError(f"search supports n in 2..11 (int64-exact sweeps), got {n}")
+
+
+def ls_hwf(n: int, rng: RngStream, verify_steps: bool = False) -> SearchResult:
     """Run the hill climber on the n-bit bijective S-box space.
 
-    The observer, when given, is invoked once per accepted swap.  With
-    verify_steps the incremental key is checked against a full recomputation
-    at every acceptance (for test builds; quadratic per step).
+    With verify_steps the incremental key is checked against a full
+    recomputation at every acceptance (for test builds; quadratic per step).
     """
-    if not 2 <= n <= 16:
-        raise SBoxError(f"search supports n in 2..16, got {n}")
+    check_search_width(n)
     initial = random_bijective_sbox(n, rng)
     size = 1 << n
 
@@ -85,12 +85,6 @@ def ls_hwf(
     sum_s, sum_s2, key = start_key.sum_s, start_key.sum_s2, start_key.key
     s_values = start_profile.values.copy()
 
-    if not _int64_sweep_safe(count, size, n):
-        # Exact big-integer arithmetic for widths where int64 could overflow.
-        h = h.astype(object)
-        s_values = s_values.astype(object)
-
-    deltas = np.arange(1, size)
     events: list[ClimbEvent] = []
     evaluations = 0
     passes = 0
@@ -107,19 +101,7 @@ def ls_hwf(
                 eligible = js[h[js] != h[i]]
                 if eligible.size == 0:
                     break
-                hi = h[i]
-                hj = h[eligible]
-                hid = h[i ^ deltas]
-                hjd = h[eligible[:, None] ^ deltas[None, :]]
-                da = hj[:, None] - hid[None, :]
-                db = hi - hid
-                dc = hi - hjd
-                dd = hj[:, None] - hjd
-                ds = 2 * (da * da - (db * db)[None, :] + dc * dc - dd * dd)
-                # d = i^j maps the pair {i, j} to itself: no change there.
-                ds[np.arange(eligible.size), (i ^ eligible) - 1] = 0
-                dsum = ds.sum(axis=1)
-                dsum2 = (ds * (ds + 2 * s_values[1:][None, :])).sum(axis=1)
+                ds, dsum, dsum2 = swap_deltas(h, s_values, i, eligible)
                 cand_keys = count * (sum_s2 + dsum2) - (sum_s + dsum) ** 2
                 better = np.nonzero(cand_keys > key)[0]
                 if better.size == 0:
@@ -146,10 +128,7 @@ def ls_hwf(
                             f"incremental key diverged at climb {climb}: "
                             f"{key_after} vs {recomputed}"
                         )
-                event = ClimbEvent(climb, i, j, key_after.value, key_after, snapshot)
-                events.append(event)
-                if observer is not None:
-                    observer(event)
+                events.append(ClimbEvent(climb, i, j, key_after.value, key_after, snapshot))
                 improved = True
                 j_next = j + 1
 

@@ -14,11 +14,12 @@ climb k with stream (master_seed, (r, k)), sample s drawing from child
 import math
 from dataclasses import dataclass
 
-from .metrics import ccv_key, mto_beta_zero, rto_beta_zero, transparency_order
+from .metrics import metric_value
 from .rng import SEED_MIXER_ID, RngStream
 from .sbox import SBox, hw_class_shuffle
 from .search import ls_hwf
 
+# The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
 
 
@@ -80,17 +81,6 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def metric_value(sbox: SBox, metric: str) -> float:
-    """Evaluate one of the correlated metrics: to, mto0 or rto0."""
-    if metric == "to":
-        return transparency_order(sbox)
-    if metric == "mto0":
-        return mto_beta_zero(sbox)
-    if metric == "rto0":
-        return rto_beta_zero(sbox)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
 def sample_equal_ccv(fstar: SBox, size: int, rng: RngStream) -> list[SBox]:
     """A sample of `size` S-boxes with exactly the CCV of `fstar`.
 
@@ -103,23 +93,6 @@ def sample_equal_ccv(fstar: SBox, size: int, rng: RngStream) -> list[SBox]:
     if size == 1:
         return [fstar]
     return [hw_class_shuffle(fstar, rng.child(s)) for s in range(size)]
-
-
-def trajectory_point(sample: list[SBox], metric: str, climb_index: int) -> TrajectoryPoint:
-    """Means of CCV and of the selected metric over a sample.
-
-    When every member shares one exact CCV key (the equal-CCV samples always
-    do), the CCV mean is taken as that common value, bit-exactly.
-    """
-    if not sample:
-        raise ValueError("sample must be nonempty")
-    keys = [ccv_key(s) for s in sample]
-    if all(k == keys[0] for k in keys[1:]):
-        mean_ccv = keys[0].value
-    else:
-        mean_ccv = sum(k.value for k in keys) / len(keys)
-    values = [metric_value(s, metric) for s in sample]
-    return TrajectoryPoint(climb_index, mean_ccv, _mean(values), metric, len(sample))
 
 
 def pearson(points: list[TrajectoryPoint]) -> float:

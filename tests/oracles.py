@@ -1,12 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written directly from the defining sums, shares no code
-with the package under test, and is kept deliberately naive.  The frozen AES
-constants at the bottom were computed with the exact-rational version of
-these oracles before the package was built.
+with the package under test, and is kept deliberately naive.  Only
+`cross_correlation_naive` returns a package type, so that its table can be
+passed wherever the fast one is.  The frozen AES constants at the bottom were
+computed with the exact-rational version of these oracles before the package
+was built.
 """
 
 import numpy as np
+
+from sboxtraj import CrossCorrelationTable
 
 
 def hw(v: int) -> int:
@@ -58,6 +62,17 @@ def cross_correlation_triple_loop(table, n: int, m: int):
                     acc += -1 if fi ^ fj else 1
                 c[i][j][a] = acc
     return c
+
+
+def cross_correlation_naive(sbox) -> CrossCorrelationTable:
+    """Direct O(m^2 4^n) summation of the cross-correlation spectrum."""
+    table = np.asarray(sbox.table, dtype=np.int64)
+    signs = 1 - 2 * ((table[None, :] >> np.arange(sbox.m)[:, None]) & 1)
+    xs = np.arange(sbox.size)
+    c = np.empty((sbox.m, sbox.m, sbox.size), dtype=np.int64)
+    for a in range(sbox.size):
+        c[:, :, a] = signs @ signs[:, xs ^ a].T
+    return CrossCorrelationTable(sbox.n, sbox.m, c)
 
 
 def mto_beta_direct(table, n: int, m: int, beta: int) -> float:

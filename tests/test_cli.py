@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -255,3 +256,114 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 1
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail the test if a search starts: each begins with a random S-box."""
+    import sboxtraj.search as search_mod
+
+    def no_work(*args):
+        raise AssertionError("a search started before the inputs were checked")
+
+    monkeypatch.setattr(search_mod, "random_bijective_sbox", no_work)
+
+
+class TestInputsCheckedFirst:
+    def test_experiment_out_dir_is_a_file(self, tmp_path, capsys, no_search):
+        target = tmp_path / "taken"
+        target.write_text("")
+        argv = ["experiment", "--n", "4", "--metric", "to", "--runs", "2"]
+        assert main(argv + ["--out-dir", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-climbs"])
+    def test_search_output_in_missing_dir(self, flag, tmp_path, capsys, no_search):
+        argv = ["search", "--n", "4", flag, str(tmp_path / "missing" / "f.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_export_plot_out_in_missing_dir(self, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        assert TestExperimentCommand().run_small(exp) == 0
+        argv = ["export-plot", "--in", str(exp), "--out", str(tmp_path / "missing" / "p.dat")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_export_plot_short_row(self, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        assert TestExperimentCommand().run_small(exp) == 0
+        with open(exp / "trajectories.csv", "a") as fh:
+            fh.write("0,1,0.1\n")
+        plot = tmp_path / "plot.dat"
+        assert main(["export-plot", "--in", str(exp), "--out", str(plot)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not plot.exists()
+
+    def test_search_unsupported_width(self, capsys, no_search):
+        assert main(["search", "--n", "12"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_experiment_unsupported_width(self, tmp_path, capsys, no_search):
+        out = tmp_path / "D"
+        argv = ["experiment", "--n", "12", "--metric", "to", "--runs", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+GOLDEN_EXPERIMENTS = {
+    "to": (
+        ["--n", "5", "--metric", "to", "--runs", "4", "--sample-size", "3", "--seed", "11"],
+        {
+            "summary.json": "cf8286250511b2cd55d2f882830a4afb7fb97125f19f62ac65e988b6bf1c3c7c",
+            "trajectories.csv": "0827f0d27988d3e83698c02f1d45d728de8a573c4c9cc8ef1b0ddf73f27f0128",
+        },
+    ),
+    "mto0": (
+        ["--n", "5", "--metric", "mto0", "--runs", "4", "--sample-size", "3", "--seed", "11"],
+        {
+            "summary.json": "e0da8b428592b31172421cf1ba21a72e6e352cb30cdd524356dbdc4368f9da4d",
+            "trajectories.csv": "fde8e5ab4faf83ed9c9c934e320f0f1c4d24533ad23e34ac0725ad2f56f30a4d",
+        },
+    ),
+    "rto0": (
+        ["--n", "5", "--metric", "rto0", "--runs", "4", "--sample-size", "1", "--seed", "11"],
+        {
+            "summary.json": "35f14835e36d79c24c5acf06c1ef92f538f4c125d6540cda281ba4785b49d7c7",
+            "trajectories.csv": "d2def4ac12f590998399a01c321348c6b3858085e036204be3de53119d0135ac",
+        },
+    ),
+}
+GOLDEN_SEARCH = {
+    "final.txt": "2dfef9fbb1e9e80f0e87e1fdec0497adba1b378fef4ab9a41c957d97f4426f69",
+    "climbs.csv": "475f614089c9c2d96200c57e678e781c26b7801743b00774a334e275167b05ac",
+}
+GOLDEN_METRICS = "ec3b4819ef9eeec385bdadf107a00952e5bb3cfd50bd41b7e7b2037cda94512f"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Fixed-seed outputs must stay byte-identical across refactors."""
+
+    @pytest.mark.parametrize("metric", list(GOLDEN_EXPERIMENTS))
+    def test_experiment(self, metric, tmp_path):
+        args, want = GOLDEN_EXPERIMENTS[metric]
+        out = tmp_path / "exp"
+        assert main(["experiment", *args, "--out-dir", str(out)]) == 0
+        assert {name: sha256((out / name).read_bytes()) for name in want} == want
+
+    def test_search(self, tmp_path):
+        final, climbs = tmp_path / "final.txt", tmp_path / "climbs.csv"
+        argv = ["search", "--n", "6", "--seed", "5", "--out", str(final)]
+        assert main(argv + ["--emit-climbs", str(climbs)]) == 0
+        got = {"final.txt": sha256(final.read_bytes()), "climbs.csv": sha256(climbs.read_bytes())}
+        assert got == GOLDEN_SEARCH
+
+    def test_metrics(self, aes_file, capsys):
+        argv = ["metrics", "--sbox", str(aes_file), "--n", "8"]
+        assert main(argv + ["--metrics", "ccv,to,mto0,rto0,mto,rto"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == GOLDEN_METRICS

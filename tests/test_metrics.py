@@ -9,7 +9,6 @@ from sboxtraj import (
     ccv_key,
     constant_sbox,
     cross_correlation_fast,
-    cross_correlation_naive,
     hw_class_shuffle,
     identity_sbox,
     kappa_profile,
@@ -23,7 +22,7 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
-from sboxtraj.metrics import ccv_key_from_profile
+from sboxtraj.metrics import ccv_key_from_profile, swap_deltas
 from sboxtraj.sbox import IndexOutOfRangeError
 
 from oracles import (
@@ -33,7 +32,9 @@ from oracles import (
     AES_SBOX,
     AES_TO,
     ccv_bruteforce_ordered,
+    cross_correlation_naive,
     cross_correlation_triple_loop,
+    hw,
     mto_beta_direct,
     rto_beta_direct,
     to_direct,
@@ -258,6 +259,21 @@ class TestCcvIncremental:
             sbox = swap_outputs(sbox, i, j)
         assert key == ccv_key(sbox)
         assert np.array_equal(profile.values, kappa_profile(sbox).values)
+
+    def test_batch_rows_match_full_recompute(self):
+        sbox = random_bijective_sbox(5, RngStream(41))
+        key = ccv_key(sbox)
+        profile = kappa_profile(sbox)
+        h = np.array([hw(v) for v in sbox.table], dtype=np.int64)
+        i = 3
+        js = np.array([j for j in range(32) if h[j] != h[i]])
+        ds, dsum, dsum2 = swap_deltas(h, profile.values, i, js)
+        for row, j in enumerate(js):
+            swapped = swap_outputs(sbox, i, int(j))
+            want = kappa_profile(swapped).values[1:] - profile.values[1:]
+            assert np.array_equal(ds[row], want)
+            assert key.sum_s + dsum[row] == ccv_key(swapped).sum_s
+            assert key.sum_s2 + dsum2[row] == ccv_key(swapped).sum_s2
 
     def test_bad_positions(self):
         sbox = identity_sbox(3)

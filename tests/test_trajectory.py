@@ -12,16 +12,18 @@ from sboxtraj import (
     hamming_weight,
     ls_hwf,
     metric_value,
+    mto,
     mto_beta_zero,
     pearson,
     random_bijective_sbox,
+    rto,
     rto_beta_zero,
     run_experiment,
     sample_equal_ccv,
     summary_stats,
-    trajectory_point,
     transparency_order,
 )
+from sboxtraj.metrics import METRIC_NAMES, SPECTRAL_METRICS, cross_correlation_fast
 
 
 def points(pairs):
@@ -58,36 +60,61 @@ class TestSampleEqualCcv:
             sample_equal_ccv(fstar, 0, RngStream(5))
 
 
+def driver_points(metric, sample_size, master_seed, n=4, runs=2):
+    """(point, climb event) pairs of a small experiment, in run order."""
+    summary = run_experiment(
+        n=n, metric=metric, runs=runs, sample_size=sample_size, master_seed=master_seed
+    )
+    pairs = []
+    for run_id, trajectory in enumerate(summary.trajectories):
+        result = ls_hwf(n, RngStream(master_seed, (run_id,)))
+        assert len(trajectory.points) == len(result.events)
+        pairs.extend(zip(trajectory.points, result.events))
+    assert pairs
+    return pairs
+
+
 class TestTrajectoryPoint:
+    """The experiment driver is the one place that computes points."""
+
     def test_single_member(self):
-        sbox = random_bijective_sbox(4, RngStream(3))
-        point = trajectory_point([sbox], "to", 5)
-        assert point.mean_ccv == ccv(sbox)
-        assert point.mean_metric == transparency_order(sbox)
-        assert point.climb_index == 5 and point.sample_size == 1
+        for point, event in driver_points("to", 1, 3):
+            sbox = event.sbox_after
+            assert point == TrajectoryPoint(
+                event.climb_index, ccv(sbox), transparency_order(sbox), "to", 1
+            )
 
     def test_mean_ccv_is_exact_on_equal_ccv_sample(self):
-        fstar = random_bijective_sbox(4, RngStream(10))
-        sample = sample_equal_ccv(fstar, 30, RngStream(10, (0, 3)))
-        point = trajectory_point(sample, "mto0", 1)
-        assert point.mean_ccv == ccv(fstar)
+        for point, event in driver_points("mto0", 30, 10):
+            assert point.mean_ccv == ccv(event.sbox_after)
 
     def test_identical_members_give_member_metric(self):
-        sbox = random_bijective_sbox(4, RngStream(12))
-        point = trajectory_point([sbox] * 7, "to", 2)
-        assert point.mean_metric == transparency_order(sbox)
+        # rto0 depends only on the HW sequence, so every class shuffle in a
+        # sample has the incumbent's value, and the mean must be that value.
+        for point, event in driver_points("rto0", 7, 12):
+            assert point.mean_metric == rto_beta_zero(event.sbox_after)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_point([], "to", 1)
+            run_experiment(n=4, metric="to", runs=2, sample_size=0)
 
 
 class TestMetricValue:
     def test_selectors(self):
         sbox = random_bijective_sbox(4, RngStream(2))
+        assert metric_value(sbox, "ccv") == ccv(sbox)
         assert metric_value(sbox, "to") == transparency_order(sbox)
         assert metric_value(sbox, "mto0") == mto_beta_zero(sbox)
         assert metric_value(sbox, "rto0") == rto_beta_zero(sbox)
+        assert metric_value(sbox, "mto") == mto(sbox)
+        assert metric_value(sbox, "rto") == rto(sbox)
+
+    def test_table_gives_same_values(self):
+        sbox = random_bijective_sbox(5, RngStream(4))
+        table = cross_correlation_fast(sbox)
+        for name in METRIC_NAMES:
+            assert metric_value(sbox, name, table) == metric_value(sbox, name)
+        assert set(SPECTRAL_METRICS) < set(METRIC_NAMES)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
@@ -183,8 +210,8 @@ class TestRunExperiment:
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
     def test_trajectory_points_agree_with_public_ops(self):
-        # the driver's fast path must produce exactly what the public
-        # sample/point operations produce
+        # the driver skips the members' CCV keys; rebuilding each point from
+        # the public sample and metric operations must give the same point
         summary = run_experiment(n=4, metric="to", runs=2, sample_size=5, master_seed=31)
         for run_id, trajectory in enumerate(summary.trajectories):
             result = ls_hwf(4, RngStream(31, (run_id,)))
@@ -192,5 +219,9 @@ class TestRunExperiment:
                 sample = sample_equal_ccv(
                     event.sbox_after, 5, RngStream(31, (run_id, event.climb_index))
                 )
-                rebuilt = trajectory_point(sample, "to", event.climb_index)
+                keys = {ccv_key(s) for s in sample}
+                assert len(keys) == 1
+                values = [metric_value(s, "to") for s in sample]
+                mean = values[0] if len(set(values)) == 1 else sum(values) / len(values)
+                rebuilt = TrajectoryPoint(event.climb_index, keys.pop().value, mean, "to", 5)
                 assert rebuilt == point
