@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .metrics import METRIC_NAMES, SPECTRAL_METRICS, cross_correlation_fast, metric_value
 from .rng import RngStream
-from .sbox import SBoxError, parse_sbox, serialize_sbox
+from .sbox import MAX_WIDTH, SBoxError, parse_sbox, serialize_sbox
 from .search import check_search_width, ls_hwf
 from .trajectory import METRICS, ExperimentSummary, run_experiment
 
@@ -36,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_n(n: int) -> None:
-    if not 2 <= n <= 16:
-        raise CliError(f"--n must be in 2..16, got {n}")
+    if not 2 <= n <= MAX_WIDTH:
+        raise CliError(f"--n must be in 2..{MAX_WIDTH}, got {n}")
 
 
 def _check_out_file(path: str | None, flag: str) -> None:
@@ -61,7 +61,7 @@ def cmd_metrics(args) -> int:
     m = args.m if args.m is not None else args.n
     try:
         text = Path(args.sbox).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read S-box file: {exc}") from None
     sbox = parse_sbox(text, args.n, m)
 
@@ -185,12 +185,15 @@ def cmd_export_plot(args) -> int:
     if not src.is_file():
         raise CliError(f"no trajectories.csv in {args.in_dir}")
     _check_out_file(args.out, "--out")
-    with open(src, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"]:
-            raise CliError(f"unexpected header in {src}")
-        rows = list(reader)
+    try:
+        with open(src, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {src}: {exc}") from None
+    if header != ["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"]:
+        raise CliError(f"unexpected header in {src}")
     for line_no, row in enumerate(rows, 2):
         if len(row) != len(header):
             raise CliError(f"{src} line {line_no}: {len(row)} fields, expected {len(header)}")

@@ -7,10 +7,32 @@ end; results are deterministic to the bit.
 Component i of an S-box output is bit i (least-significant first), and bit i
 of a pre-charge value beta addresses the same component.
 
-The cross-correlation spectrum C[i, j, a] = sum_x (-1)^(F_i(x) xor F_j(x^a))
-is the shared backbone of TO/MTO/RTO.  It is computed in O(m^2 2^n n) via the
-Walsh-Hadamard correlation theorem (`cross_correlation_fast`); the tests
-check it entry-for-entry against direct summation.
+The metrics share one spectral core of Walsh-Hadamard correlations.  Let
+s_i(x) = (-1)^F_i(x), W_i its Walsh-Hadamard spectrum, C[i, j, a] =
+sum_x s_i(x) s_j(x^a) the cross-correlation spectrum, and u(x) =
+sum_i (-1)^b_i s_i(x) = m - 2 HW(F(x) ^ beta) the leakage vector of a
+pre-charge beta (for beta = 0, the Hamming-weight vector m - 2 HW(F(x))):
+
+- MTO at beta needs sum_i (-1)^b_i C[i, j, a] = sum_x u(x) s_j(x^a), the
+  inverse transform of W_u W_j, where W_u = sum_i (-1)^b_i W_i by
+  linearity: m forward and m inverse rows;
+- RTO at beta needs the double sum over i and j, the autocorrelation of u;
+- TO needs sum_j C[j, j, a], the inverse transform of sum_j W_j^2: one row;
+- the CCV profile is values[d] = 2 (A[0] - A[d]), with A the
+  autocorrelation of HW(F(x)).
+
+`_fwht_rows` is the only transform kernel and `_autocorrelation` the only
+autocorrelation.  The full table C (`cross_correlation_fast`, m + m^2 rows)
+is built only by the full-beta `mto`/`rto`, which reuse it for all 2^(m-1)
+pre-charges; TO, MTO0 and RTO0 read it when one is passed and use the core
+otherwise, with identical results.  The tests check both paths against
+direct summation.
+
+int64 bounds.  If a row of length 2^n has entries bounded by B, every stage
+of its transform is bounded by 2^n B.  The worst case of each path is then
+8^n for the table, m 8^n for TO and MTO (products of spectra bounded by
+m 4^n) and m^2 8^n for RTO and the CCV autocorrelation (|u|, HW <= m).  At
+the largest widths, n = m = 16, that is 2^48, 2^52 and 2^56, all below 2^63.
 
 `metric_value` is the one map from a metric name to its function, shared by
 the CLI and the experiment driver.
@@ -23,9 +45,10 @@ import numpy as np
 from .sbox import IndexOutOfRangeError, SBox
 
 
-def _hw_table(sbox: SBox) -> np.ndarray:
-    """Hamming weight of every table entry, as int64."""
-    return np.bitwise_count(np.asarray(sbox.table, dtype=np.uint32)).astype(np.int64)
+def _hw_table(sbox: SBox, beta: int = 0) -> np.ndarray:
+    """HW(F(x) ^ beta) for every x, as int64: the Hamming weight for beta = 0."""
+    table = np.asarray(sbox.table, dtype=np.uint32) ^ np.uint32(beta)
+    return np.bitwise_count(table).astype(np.int64)
 
 
 def _component_signs(sbox: SBox) -> np.ndarray:
@@ -50,6 +73,12 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
         a = np.stack((top, bottom), axis=2).reshape(rows, size)
         h *= 2
     return a
+
+
+def _autocorrelation(v: np.ndarray) -> np.ndarray:
+    """A[a] = sum_x v(x) v(x^a) of an integer vector of length 2^n, exactly."""
+    spectrum = _fwht_rows(v[None, :])
+    return _fwht_rows(spectrum * spectrum)[0] // v.size
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +124,13 @@ class CcvKey:
 
 
 def kappa_profile(sbox: SBox) -> KappaProfile:
-    """Integer leakage-difference profile over all nonzero key differences."""
-    h = _hw_table(sbox)
-    size = sbox.size
-    xs = np.arange(size)
-    values = np.zeros(size, dtype=np.int64)
-    for d in range(1, size):
-        diff = h - h[xs ^ d]
-        values[d] = np.dot(diff, diff)
-    return KappaProfile(sbox.n, sbox.m, values)
+    """Integer leakage-difference profile over all nonzero key differences.
+
+    sum_x (h(x) - h(x^d))^2 = 2 (A[0] - A[d]) with A the autocorrelation of
+    the Hamming-weight table h, so the profile costs two transforms.
+    """
+    corr = _autocorrelation(_hw_table(sbox))
+    return KappaProfile(sbox.n, sbox.m, 2 * (corr[0] - corr))
 
 
 def ccv_key_from_profile(profile: KappaProfile) -> CcvKey:
@@ -231,15 +258,15 @@ def transparency_order(sbox: SBox, table: CrossCorrelationTable | None = None) -
 
     TO(F) = m - (1/(4^n - 2^n)) * sum_{a != 0} |m 2^n - 2 sum_x HW(F(x) ^ F(x^a))|.
     Each a-term equals |sum_j C[j, j, a]|, the absolute diagonal column sum of
-    the cross-correlation spectrum, which is how it is accumulated here
-    (exactly, in integers).
+    the cross-correlation spectrum, read from `table` when one is given and
+    otherwise the inverse transform of sum_j W_j^2 (exactly, in integers).
     """
     if table is not None:
         diag_sum = np.einsum("jja->a", table.c)
     else:
         spectra = _fwht_rows(_component_signs(sbox))
-        diag = _fwht_rows(spectra * spectra) // sbox.size
-        diag_sum = diag.sum(axis=0)
+        power = (spectra * spectra).sum(axis=0)
+        diag_sum = _fwht_rows(power[None, :])[0] // sbox.size
     total = int(np.abs(diag_sum[1:]).sum())
     return sbox.m - total / _norm_denominator(sbox)
 
@@ -254,12 +281,17 @@ def mto_beta(sbox: SBox, beta: int, table: CrossCorrelationTable | None = None) 
     """Modified transparency order for one pre-charge beta.
 
     m - (1/(4^n - 2^n)) * sum_{a != 0} sum_j |sum_i (-1)^(b_i ^ b_j) C[i, j, a]|;
-    the absolute value sits inside the outer component sum.
+    the absolute value sits inside the outer component sum.  Without a table
+    the inner sums come from the spectral core: sum_i (-1)^b_i C[i, j, a] is
+    the correlation of u = m - 2 HW(F ^ beta) with component j, whose
+    spectrum is sum_i (-1)^b_i W_i.
     """
-    if table is None:
-        table = cross_correlation_fast(sbox)
     signs = _beta_signs(sbox, beta)
-    inner = np.einsum("i,ija->ja", signs, table.c)
+    if table is not None:
+        inner = np.einsum("i,ija->ja", signs, table.c)
+    else:
+        spectra = _fwht_rows(_component_signs(sbox))
+        inner = _fwht_rows((signs @ spectra) * spectra) // sbox.size
     # |s_j * inner[j]| = |inner[j]| since s_j is a sign.
     total = int(np.abs(inner[:, 1:]).sum())
     return sbox.m - total / _norm_denominator(sbox)
@@ -269,13 +301,15 @@ def rto_beta(sbox: SBox, beta: int, table: CrossCorrelationTable | None = None) 
     """Revised transparency order for one pre-charge beta.
 
     Same sum as mto_beta but with the absolute value outside both component
-    sums, so rto_beta >= mto_beta pointwise.
+    sums, so rto_beta >= mto_beta pointwise.  The double sum is the
+    autocorrelation of u = m - 2 HW(F ^ beta), which is how it is computed
+    without a table; it depends only on the sequence HW(F(x) ^ beta).
     """
-    if table is None:
-        table = cross_correlation_fast(sbox)
     signs = _beta_signs(sbox, beta)
-    inner = np.einsum("i,ija->ja", signs, table.c)
-    outer = signs @ inner
+    if table is not None:
+        outer = signs @ np.einsum("i,ija->ja", signs, table.c)
+    else:
+        outer = _autocorrelation(sbox.m - 2 * _hw_table(sbox, beta))
     total = int(np.abs(outer[1:]).sum())
     return sbox.m - total / _norm_denominator(sbox)
 
@@ -309,8 +343,9 @@ def rto(sbox: SBox, table: CrossCorrelationTable | None = None) -> float:
 
 
 METRIC_NAMES = ("ccv", "to", "mto0", "rto0", "mto", "rto")
-# Metrics read from the full cross-correlation spectrum; TO reuses it too.
-SPECTRAL_METRICS = ("mto0", "rto0", "mto", "rto")
+# Metrics that need the full cross-correlation spectrum; TO, MTO0 and RTO0
+# read it too when it has been built.
+SPECTRAL_METRICS = ("mto", "rto")
 
 
 def metric_value(sbox: SBox, name: str, table: CrossCorrelationTable | None = None) -> float:

@@ -5,10 +5,14 @@ to m output bits.  Everything else in the package (metrics, search,
 experiments) consumes the :class:`SBox` type defined here.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .rng import RngStream
+
+# Largest input and output width an SBox accepts.
+MAX_WIDTH = 16
 
 
 class SBoxError(ValueError):
@@ -51,11 +55,17 @@ class SBox:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if not 2 <= self.n <= 16:
-            raise SBoxError(f"input width n={self.n} outside supported range 2..16")
-        if not 1 <= self.m <= 16:
-            raise SBoxError(f"output width m={self.m} outside supported range 1..16")
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
+        if not 2 <= self.n <= MAX_WIDTH:
+            raise SBoxError(f"input width n={self.n} outside supported range 2..{MAX_WIDTH}")
+        if not 1 <= self.m <= MAX_WIDTH:
+            raise SBoxError(f"output width m={self.m} outside supported range 1..{MAX_WIDTH}")
+        # operator.index accepts Python and numpy integers and rejects
+        # floats and strings instead of truncating or parsing them.
+        try:
+            table = tuple(map(operator.index, self.table))
+        except TypeError as exc:
+            raise SBoxError(f"table entries must be integers: {exc}") from None
+        object.__setattr__(self, "table", table)
         size = 1 << self.n
         if len(self.table) != size:
             raise WrongLengthError(
@@ -126,8 +136,8 @@ def serialize_sbox(sbox: SBox, per_line: int = 16) -> str:
 
 def random_bijective_sbox(n: int, rng: RngStream) -> SBox:
     """A uniformly random n-bit permutation (unbiased Fisher-Yates)."""
-    if not 2 <= n <= 16:
-        raise SBoxError(f"input width n={n} outside supported range 2..16")
+    if not 2 <= n <= MAX_WIDTH:
+        raise SBoxError(f"input width n={n} outside supported range 2..{MAX_WIDTH}")
     return SBox(n, n, tuple(rng.permutation(1 << n)))
 
 

@@ -38,6 +38,18 @@ def ccv_bruteforce_ordered(table, n: int) -> float:
     return float(np.mean((kappas - kappas.mean()) ** 2))
 
 
+def kappa_profile_direct(table, n: int) -> np.ndarray:
+    """values[d] = sum_x (HW(F(x)) - HW(F(x^d)))^2, one O(2^n) pass per d."""
+    size = 2**n
+    hws = np.array([hw(v) for v in table], dtype=np.int64)
+    xs = np.arange(size)
+    values = np.zeros(size, dtype=np.int64)
+    for d in range(1, size):
+        diff = hws - hws[xs ^ d]
+        values[d] = np.dot(diff, diff)
+    return values
+
+
 def to_direct(table, n: int, m: int) -> float:
     """Transparency order by direct summation over all shifts and inputs."""
     size = 2**n

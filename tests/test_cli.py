@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from sboxtraj import ccv, identity_sbox, mto_beta_zero, parse_sbox, transparency_order
+from sboxtraj import (
+    RngStream,
+    ccv,
+    identity_sbox,
+    mto_beta_zero,
+    parse_sbox,
+    random_bijective_sbox,
+    serialize_sbox,
+    transparency_order,
+)
 from sboxtraj.cli import main
 
 from oracles import AES_SBOX
@@ -72,6 +81,24 @@ class TestMetricsCommand:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["metrics", "--sbox", str(tmp_path / "nope.txt"), "--n", "2"]) == 1
+
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        assert main(["metrics", "--sbox", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_width_16_default_metrics(self, tmp_path, capsys):
+        # The default metrics need no cross-correlation table, so even the
+        # widest S-box is a few transforms of length 2^16.
+        path = tmp_path / "wide.txt"
+        path.write_text(serialize_sbox(random_bijective_sbox(16, RngStream(16))))
+        argv = ["metrics", "--sbox", str(path), "--n", "16"]
+        assert main(argv + ["--metrics", "ccv,to,mto0,rto0"]) == 0
+        values = json.loads(capsys.readouterr().out)
+        assert values["ccv"] > 0.0
+        assert 0.0 <= values["to"] <= 16
+        assert 16 - 16 * 16 <= values["mto0"] <= values["rto0"] <= 16
 
     def test_unknown_metric_exit_1(self, identity_file):
         assert (
@@ -245,6 +272,16 @@ class TestExportPlotCommand:
         assert main(["export-plot", "--in", str(tmp_path / "none"), "--out", "x"]) == 1
         assert "trajectories.csv" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        assert TestExperimentCommand().run_small(exp) == 0
+        with open(exp / "trajectories.csv", "ab") as fh:
+            fh.write(b"0,1,\xff,0.5,to\n")
+        plot = tmp_path / "plot.dat"
+        assert main(["export-plot", "--in", str(exp), "--out", str(plot)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not plot.exists()
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -340,6 +377,8 @@ GOLDEN_SEARCH = {
     "climbs.csv": "475f614089c9c2d96200c57e678e781c26b7801743b00774a334e275167b05ac",
 }
 GOLDEN_METRICS = "ec3b4819ef9eeec385bdadf107a00952e5bb3cfd50bd41b7e7b2037cda94512f"
+# The default metrics, which build no cross-correlation table.
+GOLDEN_METRICS_DEFAULT = "868a5b28edc68e4d85e2fd49965276fd903d5bdf3aea9cfef077bf2ee5aaba60"
 
 
 def sha256(data: bytes) -> str:
@@ -367,3 +406,7 @@ class TestGoldenOutputs:
         argv = ["metrics", "--sbox", str(aes_file), "--n", "8"]
         assert main(argv + ["--metrics", "ccv,to,mto0,rto0,mto,rto"]) == 0
         assert sha256(capsys.readouterr().out.encode()) == GOLDEN_METRICS
+
+    def test_metrics_default(self, aes_file, capsys):
+        assert main(["metrics", "--sbox", str(aes_file), "--n", "8"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == GOLDEN_METRICS_DEFAULT

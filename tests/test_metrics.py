@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from sboxtraj import (
     transparency_order,
 )
 from sboxtraj.metrics import ccv_key_from_profile, swap_deltas
-from sboxtraj.sbox import IndexOutOfRangeError
+from sboxtraj.sbox import MAX_WIDTH, IndexOutOfRangeError, SBoxError
 
 from oracles import (
     AES_CCV,
@@ -35,6 +37,7 @@ from oracles import (
     cross_correlation_naive,
     cross_correlation_triple_loop,
     hw,
+    kappa_profile_direct,
     mto_beta_direct,
     rto_beta_direct,
     to_direct,
@@ -45,6 +48,16 @@ REL = 1e-12
 
 def aes_sbox():
     return SBox(8, 8, AES_SBOX)
+
+
+def core_cases(n):
+    """Constant, identity, bijective, non-bijective and m != n S-boxes."""
+    rng = random.Random(n)
+    cases = [constant_sbox(n, n, (1 << n) - 1), identity_sbox(n)]
+    cases += [random_bijective_sbox(n, RngStream(seed, (n,))) for seed in range(3)]
+    for m in (n, 1, min(n + 3, MAX_WIDTH)):
+        cases.append(SBox(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n))))
+    return cases
 
 
 class TestKappaProfile:
@@ -63,6 +76,12 @@ class TestKappaProfile:
             assert np.array_equal(
                 kappa_profile(sbox).values, kappa_profile(shuffled).values
             )
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_direct_loop(self, n):
+        for sbox in core_cases(n):
+            want = kappa_profile_direct(sbox.table, n)
+            assert np.array_equal(kappa_profile(sbox).values, want)
 
 
 class TestCcv:
@@ -225,6 +244,47 @@ class TestMtoRto:
             assert rto(sbox) >= rto0
 
 
+class TestSpectralCore:
+    """TO/MTO/RTO without a table equal the values read from the table."""
+
+    @staticmethod
+    def assert_paths_agree(sbox):
+        table = cross_correlation_fast(sbox)
+        assert transparency_order(sbox) == transparency_order(sbox, table)
+        assert mto_beta_zero(sbox) == mto_beta_zero(sbox, table)
+        assert rto_beta_zero(sbox) == rto_beta_zero(sbox, table)
+        top = (1 << sbox.m) - 1
+        for beta in sorted({1, top // 3, top}):
+            assert mto_beta(sbox, beta) == mto_beta(sbox, beta, table)
+            assert rto_beta(sbox, beta) == rto_beta(sbox, beta, table)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_table_and_core_agree(self, n):
+        for sbox in core_cases(n):
+            self.assert_paths_agree(sbox)
+
+    def test_table_and_core_agree_n12(self):
+        self.assert_paths_agree(random_bijective_sbox(12, RngStream(12)))
+
+    def test_int64_bounds_at_largest_widths(self):
+        # Worst-case |entry| of each int64 path, as derived in the metrics
+        # module docstring; MAX_WIDTH is the largest n and m an SBox takes.
+        n = m = MAX_WIDTH
+        with pytest.raises(SBoxError):
+            SBox(MAX_WIDTH + 1, 1, ())
+        with pytest.raises(SBoxError):
+            SBox(2, MAX_WIDTH + 1, (0, 0, 0, 0))
+        bounds = {
+            "table": 8**n,
+            "to": m * 8**n,
+            "mto": m * 8**n,
+            "rto": m * m * 8**n,
+            "ccv_autocorrelation": m * m * 8**n,
+        }
+        assert bounds["mto"] == 2**52 and bounds["ccv_autocorrelation"] == 2**56
+        assert all(bound < 2**63 for bound in bounds.values())
+
+
 class TestCcvIncremental:
     def test_matches_full_recompute(self):
         sbox = random_bijective_sbox(4, RngStream(31))
@@ -292,6 +352,15 @@ class TestShuffleInvariance:
             sbox = random_bijective_sbox(n, RngStream(seed, (0,)))
             shuffled = hw_class_shuffle(sbox, RngStream(seed, (1,)))
             assert ccv_key(sbox) == ccv_key(shuffled)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rto0_exactly_invariant_under_class_shuffle(self, n):
+        # RTO0 is the autocorrelation of m - 2 HW(F), a function of the HW
+        # sequence alone, like CCV.
+        for seed in range(10):
+            sbox = random_bijective_sbox(n, RngStream(seed, (2,)))
+            shuffled = hw_class_shuffle(sbox, RngStream(seed, (3,)))
+            assert rto_beta_zero(sbox) == rto_beta_zero(shuffled)
 
     def test_consistency_key_vs_profile(self):
         sbox = random_bijective_sbox(4, RngStream(55))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sboxtraj import (
@@ -78,6 +79,16 @@ class TestSBoxValidation:
     def test_rectangular(self):
         sbox = SBox(3, 2, (0, 1, 2, 3, 3, 2, 1, 0))
         assert sbox.size == 8 and sbox.m == 2
+
+    @pytest.mark.parametrize("table", [(0.9, 1, 2, 3.7), (0, 1, 2, 3.0), ("1", "0", "2", "3")])
+    def test_non_integer_entries_rejected(self, table):
+        with pytest.raises(SBoxError):
+            SBox(2, 2, table)
+
+    def test_numpy_integer_entries(self):
+        sbox = SBox(2, 2, tuple(np.arange(4, dtype=np.int64)[::-1]))
+        assert sbox.table == (3, 2, 1, 0)
+        assert all(type(v) is int for v in sbox.table)
 
 
 class TestRngStream:
