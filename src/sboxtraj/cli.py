@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .metrics import METRIC_NAMES, SPECTRAL_METRICS, cross_correlation_fast, metric_value
+from .metrics import METRIC_NAMES, metric_value
 from .rng import RngStream
 from .sbox import MAX_WIDTH, SBoxError, parse_sbox, serialize_sbox
 from .search import check_search_width, ls_hwf
@@ -72,10 +72,7 @@ def cmd_metrics(args) -> int:
         if name not in METRIC_NAMES:
             raise CliError(f"unknown metric {name!r}; choose from {','.join(METRIC_NAMES)}")
 
-    table = None
-    if any(name in SPECTRAL_METRICS for name in names):
-        table = cross_correlation_fast(sbox)
-    values = {name: metric_value(sbox, name, table) for name in names}
+    values = {name: metric_value(sbox, name) for name in names}
 
     if args.format == "json":
         print(json.dumps(values, indent=2))
@@ -221,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics",
         default="ccv,to,mto0,rto0",
-        help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
+        help=f"comma-separated subset of {','.join(METRIC_NAMES)}; mto and rto "
+        "enumerate 2^(m-1) pre-charges, so at m = 16 they take many minutes",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_metrics)

@@ -102,6 +102,9 @@ def constant_sbox(n: int, m: int, value: int = 0) -> SBox:
 
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
+# ASCII digits only: int() would also take signs, underscores and non-ASCII
+# digits.
+_TOKEN = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
 
 
 def parse_sbox(text: str, n: int, m: int) -> SBox:
@@ -114,13 +117,12 @@ def parse_sbox(text: str, n: int, m: int) -> SBox:
     for token in _TOKEN_SPLIT.split(text.strip()):
         if not token:
             continue
+        if not _TOKEN.fullmatch(token):
+            raise MalformedTokenError(f"cannot parse token {token!r}")
         try:
-            if token.lower().startswith("0x"):
-                values.append(int(token, 16))
-            else:
-                values.append(int(token, 10))
-        except ValueError:
-            raise MalformedTokenError(f"cannot parse token {token!r}") from None
+            values.append(int(token, 16) if token[:2] in ("0x", "0X") else int(token))
+        except ValueError:  # more decimal digits than int() converts
+            raise MalformedTokenError(f"token of {len(token)} digits is too long") from None
     if len(values) != 1 << n:
         raise WrongLengthError(f"expected {1 << n} entries for n={n}, got {len(values)}")
     return SBox(n, m, tuple(values))

@@ -1,16 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written directly from the defining sums, shares no code
-with the package under test, and is kept deliberately naive.  Only
-`cross_correlation_naive` returns a package type, so that its table can be
-passed wherever the fast one is.  The frozen AES constants at the bottom were
-computed with the exact-rational version of these oracles before the package
-was built.
+with the package under test, and is kept deliberately naive.  The `*_from_table`
+reductions read TO, MTO and RTO off a cross-correlation table c[i, j, a] and
+end with the same m - total / (4^n - 2^n) as the package, so their floats can
+be compared exactly.  The frozen AES constants at the bottom were computed
+with the exact-rational version of these oracles before the package was
+built.
 """
 
 import numpy as np
-
-from sboxtraj import CrossCorrelationTable
 
 
 def hw(v: int) -> int:
@@ -76,7 +75,7 @@ def cross_correlation_triple_loop(table, n: int, m: int):
     return c
 
 
-def cross_correlation_naive(sbox) -> CrossCorrelationTable:
+def cross_correlation_naive(sbox) -> np.ndarray:
     """Direct O(m^2 4^n) summation of the cross-correlation spectrum."""
     table = np.asarray(sbox.table, dtype=np.int64)
     signs = 1 - 2 * ((table[None, :] >> np.arange(sbox.m)[:, None]) & 1)
@@ -84,7 +83,34 @@ def cross_correlation_naive(sbox) -> CrossCorrelationTable:
     c = np.empty((sbox.m, sbox.m, sbox.size), dtype=np.int64)
     for a in range(sbox.size):
         c[:, :, a] = signs @ signs[:, xs ^ a].T
-    return CrossCorrelationTable(sbox.n, sbox.m, c)
+    return c
+
+
+def _beta_signs(m: int, beta: int) -> np.ndarray:
+    return 1 - 2 * ((beta >> np.arange(m)) & 1)
+
+
+def _from_total(c: np.ndarray, total) -> float:
+    m, _, size = c.shape
+    return m - int(total) / (size * size - size)
+
+
+def to_from_table(c: np.ndarray) -> float:
+    """TO from the diagonal column sums sum_j c[j, j, a]."""
+    return _from_total(c, np.abs(np.einsum("jja->a", c)[1:]).sum())
+
+
+def mto_beta_from_table(c: np.ndarray, beta: int) -> float:
+    """MTO at beta: |sum_i (-1)^(b_i ^ b_j) c[i, j, a]| summed over j and a != 0."""
+    inner = np.einsum("i,ija->ja", _beta_signs(c.shape[0], beta), c)
+    return _from_total(c, np.abs(inner[:, 1:]).sum())
+
+
+def rto_beta_from_table(c: np.ndarray, beta: int) -> float:
+    """RTO at beta: |sum_ij (-1)^(b_i ^ b_j) c[i, j, a]| summed over a != 0."""
+    signs = _beta_signs(c.shape[0], beta)
+    outer = np.einsum("i,j,ija->a", signs, signs, c)
+    return _from_total(c, np.abs(outer[1:]).sum())
 
 
 def mto_beta_direct(table, n: int, m: int, beta: int) -> float:

@@ -23,11 +23,9 @@ from sboxtraj import (
     identity_sbox,
     ls_hwf,
     mto,
-    mto_beta,
     mto_beta_zero,
     random_bijective_sbox,
     rto,
-    rto_beta,
     rto_beta_zero,
     run_experiment,
     swap_outputs,
@@ -36,7 +34,13 @@ from sboxtraj import (
 from sboxtraj.cli import main as cli_main
 
 import _report
-from oracles import ccv_bruteforce_ordered, cross_correlation_naive, hw
+from oracles import (
+    ccv_bruteforce_ordered,
+    cross_correlation_naive,
+    hw,
+    mto_beta_from_table,
+    rto_beta_from_table,
+)
 
 FULL = os.environ.get("SBOXTRAJ_ACCEPT_FULL") == "1"
 RUNS_8X8 = 30 if FULL else 10
@@ -106,12 +110,12 @@ def test_oracle_equivalence_metrics():
             for case in range(50):
                 sbox = random_bijective_sbox(n, RngStream(2000 + n, (case,)))
                 naive = cross_correlation_naive(sbox)
-                assert np.array_equal(cross_correlation_fast(sbox).c, naive.c)
-                assert mto(sbox, naive) == max(
-                    mto_beta(sbox, beta, naive) for beta in range(1 << n)
+                assert np.array_equal(cross_correlation_fast(sbox), naive)
+                assert mto(sbox) == max(
+                    mto_beta_from_table(naive, beta) for beta in range(1 << n)
                 )
-                assert rto(sbox, naive) == max(
-                    rto_beta(sbox, beta, naive) for beta in range(1 << n)
+                assert rto(sbox) == max(
+                    rto_beta_from_table(naive, beta) for beta in range(1 << n)
                 )
                 assert ccv(sbox) == pytest.approx(
                     ccv_bruteforce_ordered(sbox.table, n), rel=1e-12
@@ -147,14 +151,13 @@ def test_metric_inequalities():
         for n in (4, 5, 8):
             for case in range(100):
                 sbox = random_bijective_sbox(n, RngStream(3000 + n, (case,)))
-                table = cross_correlation_fast(sbox)
-                to_v = transparency_order(sbox, table)
-                mto0 = mto_beta_zero(sbox, table)
-                rto0 = rto_beta_zero(sbox, table)
+                to_v = transparency_order(sbox)
+                mto0 = mto_beta_zero(sbox)
+                rto0 = rto_beta_zero(sbox)
                 assert 0.0 <= to_v <= n, f"TO={to_v} n={n} case={case}"
                 assert mto0 <= rto0 <= n, f"MTO0={mto0} RTO0={rto0} n={n} case={case}"
-                assert mto(sbox, table) >= mto0
-                assert rto(sbox, table) >= rto0
+                assert mto(sbox) >= mto0
+                assert rto(sbox) >= rto0
     except AssertionError as exc:
         _report.record(name, False, str(exc))
         raise
@@ -166,11 +169,13 @@ def test_search_correctness():
     start = time.perf_counter()
     try:
         for run in range(30):
-            result = ls_hwf(4, RngStream(4000, (run,)), verify_steps=True)
+            result = ls_hwf(4, RngStream(4000, (run,)))
             keys = [ccv_key(result.initial).key] + [
                 e.ccv_key_after.key for e in result.events
             ]
             assert all(b > a for a, b in zip(keys, keys[1:])), f"run={run}"
+            for e in result.events:
+                assert e.ccv_key_after == ccv_key(e.sbox_after), f"run={run}"
             final = result.final
             base = ccv_key(final).key
             for i in range(final.size - 1):

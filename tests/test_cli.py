@@ -79,6 +79,12 @@ class TestMetricsCommand:
         assert main(["metrics", "--sbox", str(path), "--n", "2"]) == 1
         assert "junk" in capsys.readouterr().err
 
+    def test_non_ascii_digit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "digits.txt"
+        path.write_text("0 1 2 \u0663", encoding="utf-8")
+        assert main(["metrics", "--sbox", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse token")
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["metrics", "--sbox", str(tmp_path / "nope.txt"), "--n", "2"]) == 1
 

@@ -24,7 +24,7 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
-from sboxtraj.metrics import ccv_key_from_profile, swap_deltas
+from sboxtraj.metrics import _RTO_CHUNK_ELEMENTS, ccv_key_from_profile, swap_deltas
 from sboxtraj.sbox import MAX_WIDTH, IndexOutOfRangeError, SBoxError
 
 from oracles import (
@@ -39,8 +39,11 @@ from oracles import (
     hw,
     kappa_profile_direct,
     mto_beta_direct,
+    mto_beta_from_table,
     rto_beta_direct,
+    rto_beta_from_table,
     to_direct,
+    to_from_table,
 )
 
 REL = 1e-12
@@ -118,14 +121,14 @@ class TestCrossCorrelation:
         for i in range(2):
             for a in range(4):
                 expected = 4 * (-1) ** ((a >> i) & 1)
-                assert table.c[i, i, a] == expected
-        assert not table.c[0, 1].any() and not table.c[1, 0].any()
+                assert table[i, i, a] == expected
+        assert not table[0, 1].any() and not table[1, 0].any()
 
     def test_zero_shift_autocorrelation(self):
         sbox = random_bijective_sbox(4, RngStream(11))
         table = cross_correlation_naive(sbox)
         for i in range(4):
-            assert table.c[i, i, 0] == 16
+            assert table[i, i, 0] == 16
 
     def test_constant_table(self):
         value = 0b101
@@ -133,32 +136,36 @@ class TestCrossCorrelation:
         for i in range(3):
             for j in range(3):
                 sign = (-1) ** (((value >> i) & 1) ^ ((value >> j) & 1))
-                assert (table.c[i, j] == sign * 8).all()
+                assert (table[i, j] == sign * 8).all()
 
     def test_matches_triple_loop_oracle(self):
         sbox = random_bijective_sbox(3, RngStream(4))
         oracle = cross_correlation_triple_loop(sbox.table, 3, 3)
         table = cross_correlation_naive(sbox)
-        assert table.c.tolist() == oracle
+        assert table.tolist() == oracle
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_fast_equals_naive(self, n):
         for seed in range(10):
             sbox = random_bijective_sbox(n, RngStream(seed))
-            assert np.array_equal(
-                cross_correlation_fast(sbox).c, cross_correlation_naive(sbox).c
-            )
+            assert np.array_equal(cross_correlation_fast(sbox), cross_correlation_naive(sbox))
 
     def test_fast_equals_naive_aes(self):
         assert np.array_equal(
-            cross_correlation_fast(aes_sbox()).c, cross_correlation_naive(aes_sbox()).c
+            cross_correlation_fast(aes_sbox()), cross_correlation_naive(aes_sbox())
         )
 
     def test_entry_parity(self):
         sbox = random_bijective_sbox(4, RngStream(21))
         table = cross_correlation_fast(sbox)
-        assert not ((table.c - 16) % 2).any()
-        assert int(np.abs(table.c).max()) <= 16
+        assert not ((table - 16) % 2).any()
+        assert int(np.abs(table).max()) <= 16
+
+    def test_fast_table_is_read_only_int64(self):
+        table = cross_correlation_fast(SBox(3, 2, (0, 1, 2, 3, 3, 2, 1, 0)))
+        assert table.shape == (2, 2, 8) and table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0
 
 
 class TestTransparencyOrder:
@@ -179,11 +186,11 @@ class TestTransparencyOrder:
                 to_direct(sbox.table, n, n), rel=REL
             )
 
-    def test_table_argument_paths_agree(self):
+    def test_diagonal_sum_of_either_table_agrees(self):
         sbox = random_bijective_sbox(4, RngStream(13))
         plain = transparency_order(sbox)
-        assert transparency_order(sbox, cross_correlation_naive(sbox)) == plain
-        assert transparency_order(sbox, cross_correlation_fast(sbox)) == plain
+        assert to_from_table(cross_correlation_naive(sbox)) == plain
+        assert to_from_table(cross_correlation_fast(sbox)) == plain
 
 
 class TestMtoRto:
@@ -199,9 +206,8 @@ class TestMtoRto:
         assert rto_beta_zero(sbox) == pytest.approx(-2.0, rel=REL)
 
     def test_aes_frozen_oracle_values(self):
-        table = cross_correlation_fast(aes_sbox())
-        assert mto_beta_zero(aes_sbox(), table) == pytest.approx(AES_MTO0, rel=REL)
-        assert rto_beta_zero(aes_sbox(), table) == pytest.approx(AES_RTO0, rel=REL)
+        assert mto_beta_zero(aes_sbox()) == pytest.approx(AES_MTO0, rel=REL)
+        assert rto_beta_zero(aes_sbox()) == pytest.approx(AES_RTO0, rel=REL)
 
     def test_complement_symmetry(self):
         sbox = random_bijective_sbox(4, RngStream(17))
@@ -222,10 +228,17 @@ class TestMtoRto:
             )
 
     def test_max_equals_full_beta_bruteforce(self):
-        for seed in range(6):
-            sbox = random_bijective_sbox(4, RngStream(seed, (5,)))
-            assert mto(sbox) == max(mto_beta(sbox, b) for b in range(16))
-            assert rto(sbox) == max(rto_beta(sbox, b) for b in range(16))
+        cases = [random_bijective_sbox(4, RngStream(seed, (5,))) for seed in range(6)]
+        # m = 1: a single pre-charge representative.
+        cases.append(SBox(3, 1, (0, 1, 1, 1, 0, 1, 0, 0)))
+        # rto splits the 2^9 representatives of n = m = 10 into chunks.
+        wide = random_bijective_sbox(10, RngStream(10, (5,)))
+        assert (1 << (wide.m - 1)) * wide.size > _RTO_CHUNK_ELEMENTS
+        cases.append(wide)
+        for sbox in cases:
+            betas = range(1 << sbox.m)
+            assert mto(sbox) == max(mto_beta(sbox, b) for b in betas)
+            assert rto(sbox) == max(rto_beta(sbox, b) for b in betas)
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -245,18 +258,19 @@ class TestMtoRto:
 
 
 class TestSpectralCore:
-    """TO/MTO/RTO without a table equal the values read from the table."""
+    """TO/MTO/RTO from the spectral core equal, as floats, the reductions of
+    the direct-summation cross-correlation table."""
 
     @staticmethod
     def assert_paths_agree(sbox):
-        table = cross_correlation_fast(sbox)
-        assert transparency_order(sbox) == transparency_order(sbox, table)
-        assert mto_beta_zero(sbox) == mto_beta_zero(sbox, table)
-        assert rto_beta_zero(sbox) == rto_beta_zero(sbox, table)
+        table = cross_correlation_naive(sbox)
+        assert transparency_order(sbox) == to_from_table(table)
+        assert mto_beta_zero(sbox) == mto_beta_from_table(table, 0)
+        assert rto_beta_zero(sbox) == rto_beta_from_table(table, 0)
         top = (1 << sbox.m) - 1
         for beta in sorted({1, top // 3, top}):
-            assert mto_beta(sbox, beta) == mto_beta(sbox, beta, table)
-            assert rto_beta(sbox, beta) == rto_beta(sbox, beta, table)
+            assert mto_beta(sbox, beta) == mto_beta_from_table(table, beta)
+            assert rto_beta(sbox, beta) == rto_beta_from_table(table, beta)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_table_and_core_agree(self, n):

@@ -56,6 +56,24 @@ class TestParse:
         with pytest.raises(MalformedTokenError):
             parse_sbox("0 1 two 3", 2, 2)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1 2 1_1",  # int() reads digit grouping
+            "+0 1 2 3",  # and a sign
+            "0 1 2 \u0663",  # and non-ASCII digits (ARABIC-INDIC THREE)
+            "0 1 2 0x_3",  # and an underscore after the hex prefix
+            "0 1 2 " + "1" * 5000,  # but no more than 4300 decimal digits
+        ],
+        ids=["underscore", "sign", "arabic-indic-digit", "hex-underscore", "5000-digits"],
+    )
+    def test_only_ascii_decimal_or_hex_tokens(self, text):
+        with pytest.raises(MalformedTokenError):
+            parse_sbox(text, 2, 4)
+
+    def test_hex_prefix_case_and_leading_zeros(self):
+        assert parse_sbox("0X0 0xF 007 0x0a", 2, 4).table == (0, 15, 7, 10)
+
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_serialize_round_trip(self, n):
         for seed in range(5):

@@ -26,6 +26,12 @@ def exhaustively_locally_optimal(sbox):
     return True
 
 
+def assert_keys_recompute(result):
+    """Every event's incremental key equals a full recomputation."""
+    for event in result.events:
+        assert event.ccv_key_after == ccv_key(event.sbox_after)
+
+
 class TestLsHwf:
     def test_deterministic(self):
         a = ls_hwf(4, RngStream(7))
@@ -74,8 +80,9 @@ class TestLsHwf:
             assert event.ccv_after == event.ccv_key_after.value
 
     def test_incremental_agrees_with_recompute(self):
-        # verify_steps recomputes the key from scratch at every acceptance
-        ls_hwf(5, RngStream(13), verify_steps=True)
+        result = ls_hwf(5, RngStream(13))
+        assert result.events
+        assert_keys_recompute(result)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_final_is_local_optimum(self, seed):
@@ -83,7 +90,8 @@ class TestLsHwf:
         assert exhaustively_locally_optimal(result.final)
 
     def test_small_space_terminates(self):
-        result = ls_hwf(2, RngStream(1), verify_steps=True)
+        result = ls_hwf(2, RngStream(1))
+        assert_keys_recompute(result)
         assert exhaustively_locally_optimal(result.final)
 
     def test_run_metadata(self):
