@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sbox import IndexOutOfRangeError, SBox
+from .sbox import SBox
 
 
 def _hw_table(sbox: SBox, betas=0) -> np.ndarray:
@@ -158,64 +158,6 @@ def ccv(sbox: SBox) -> float:
     expected squared leakage difference; higher means more SCA-resistant.
     """
     return ccv_key(sbox).value
-
-
-def swap_deltas(
-    h: np.ndarray, values: np.ndarray, i: int, js: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profile changes of swapping the outputs at i and at each j in js.
-
-    h is the int64 Hamming-weight table and values the current profile.
-    Returns (ds, dsum, dsum2): ds[r, d - 1] is the change of values[d] for
-    the swap (i, js[r]), dsum its row sums (the change of sum(S)) and dsum2
-    the change of sum(S^2).  Only the summands at x in {i, j, i^d, j^d} change
-    for each difference d, so a row costs O(2^n) instead of O(4^n).
-    """
-    deltas = np.arange(1, h.size)
-    hi = h[i]
-    hj = h[js]
-    hid = h[i ^ deltas]
-    hjd = h[js[:, None] ^ deltas[None, :]]
-    da = hj[:, None] - hid[None, :]
-    db = hi - hid
-    dc = hi - hjd
-    dd = hj[:, None] - hjd
-    ds = 2 * (da * da - (db * db)[None, :] + dc * dc - dd * dd)
-    # d = i^j maps the pair {i, j} to itself: no change there.
-    ds[np.arange(js.size), (i ^ js) - 1] = 0
-    dsum = ds.sum(axis=1)
-    dsum2 = (ds * (ds + 2 * values[1:][None, :])).sum(axis=1)
-    return ds, dsum, dsum2
-
-
-def ccv_incremental(
-    sbox: SBox, key: CcvKey, profile: KappaProfile, i: int, j: int
-) -> tuple[CcvKey, KappaProfile]:
-    """Key and profile of swap_outputs(sbox, i, j), by delta update.
-
-    The update is one row of `swap_deltas` and equals a full recomputation
-    exactly.
-    """
-    size = sbox.size
-    if i == j or not (0 <= i < size and 0 <= j < size):
-        raise IndexOutOfRangeError(f"swap positions ({i}, {j}) invalid for size {size}")
-    h = _hw_table(sbox)
-    if h[i] == h[j]:
-        # Equal-weight swap: the HW sequence, hence the profile, is unchanged.
-        return key, profile
-    ds, dsum, dsum2 = swap_deltas(h, profile.values, i, np.array([j]))
-    new_values = profile.values.copy()
-    new_values[1:] += ds[0]
-    new_sum_s = key.sum_s + int(dsum[0])
-    new_sum_s2 = key.sum_s2 + int(dsum2[0])
-    new_key = CcvKey(
-        key.n,
-        key.count,
-        new_sum_s,
-        new_sum_s2,
-        key.count * new_sum_s2 - new_sum_s * new_sum_s,
-    )
-    return new_key, KappaProfile(profile.n, profile.m, new_values)
 
 
 # ---------------------------------------------------------------------------

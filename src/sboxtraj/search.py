@@ -8,18 +8,37 @@ in place as soon as its exact integer CCV key strictly exceeds the
 incumbent's, and the scan continues from the following pair; the search stops
 after a full pass without any acceptance, i.e. at a local maximum.
 
-Candidates are evaluated in batches by `metrics.swap_deltas`, the O(2^n)
-delta update of the integer profile that `metrics.ccv_incremental` also uses;
-acceptance order is identical to evaluating pairs one at a time.  The batch
-arithmetic is int64, so the search supports only the widths where it cannot
-overflow (n <= 11).
+Closed-form swap gain.  Let h be the Hamming-weight table, S the CCV profile
+(S[0] = 0), G = h * S the XOR-convolution G[x] = sum_d h(x^d) S[d], and for a
+swap (i, j) let delta = h[j] - h[i] and e = i^j.  The swap leaves sum(S)
+unchanged, because sum_d S[d] depends only on the multiset of weights, so it
+raises the key N sum(S^2) - sum(S)^2 iff it raises sum(S^2), by
+
+    gain = 24 delta^2 S[e] - 32 delta^4 + 8 delta (G[j] - G[i]).
+
+A row i of candidates is one vector expression, O(1) per candidate, and an
+equal-weight pair has gain 0.  Accepting (i, j) changes S by
+dS[d] = 4 delta (h(j^d) - h(i^d)), with dS[0] = dS[e] = 0, and G by
+
+    3 delta (S[x^i] - S[x^j]) - 4 delta^2 (h[x] - h[x^e]) + delta (dS[x^i] - dS[x^j])
+
+with h and S taken before the swap: O(2^n) per accepted swap, no transform.
+G is built once per search by `metrics._fwht_rows`.
+
+int64 bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n, a gain is below
+8 n^4 4^n + 24 n^4 2^n + 32 n^4, and the one-off transform of G stays below
+n^3 16^n.  The last is the largest: exact up to n = 12, over 2^63 at n = 13.
+`check_search_width` checks all three before any work.
+
+Events record (i, j) and the key; replaying the swaps from `initial` gives
+each incumbent, so the search builds no S-box per climb.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CcvKey, ccv_key_from_profile, kappa_profile, swap_deltas
+from .metrics import CcvKey, _fwht_rows, ccv_key_from_profile, kappa_profile
 from .rng import RngStream
 from .sbox import SBox, SBoxError, random_bijective_sbox
 
@@ -33,7 +52,6 @@ class ClimbEvent:
     j: int
     ccv_after: float
     ccv_key_after: CcvKey
-    sbox_after: SBox
 
 
 @dataclass(frozen=True)
@@ -55,15 +73,39 @@ class SearchResult:
     passes: int
 
 
-def _int64_sweep_safe(count: int, size: int, m: int) -> bool:
-    # Worst-case |candidate key| <= 2 * (count * size * m^2)^2.
-    return 2 * (count * size * m * m) ** 2 < 2**62
+def _int64_bounds(n: int) -> tuple[int, ...]:
+    """Worst-case magnitudes of the G transform, of G and of a gain at width n."""
+    return (n**3 * 16**n, n**3 * 4**n, 8 * n**4 * 4**n + 24 * n**4 * 2**n + 32 * n**4)
 
 
 def check_search_width(n: int) -> None:
-    """Raise SBoxError unless n >= 2 and the int64 sweep is exact at n."""
-    if n < 2 or not _int64_sweep_safe((1 << n) - 1, 1 << n, n):
-        raise SBoxError(f"search supports n in 2..11 (int64-exact sweeps), got {n}")
+    """Raise SBoxError unless n >= 2 and every int64 bound holds at n."""
+    if n < 2 or not all(bound < 2**63 for bound in _int64_bounds(n)):
+        raise SBoxError(f"search supports n in 2..12 (int64-exact kernel), got {n}")
+
+
+def _convolve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G[x] = sum_d h(x^d) s[d], exactly."""
+    spectra = _fwht_rows(np.stack((h, s)))
+    return _fwht_rows((spectra[0] * spectra[1])[None, :])[0] // h.size
+
+
+def _gains(h: np.ndarray, s: np.ndarray, g: np.ndarray, i: int, js: np.ndarray) -> np.ndarray:
+    """Change of sum(S^2) for swapping i with each j in js (0 at equal weights)."""
+    delta = h[js] - h[i]
+    return 8 * delta * (3 * delta * s[i ^ js] - 4 * delta**3 + g[js] - g[i])
+
+
+def _swap(h: np.ndarray, s: np.ndarray, g: np.ndarray, i: int, j: int) -> None:
+    """Apply the swap (i, j) to h, S and G in place, in O(2^n)."""
+    x = np.arange(h.size)
+    delta = int(h[j] - h[i])
+    ds = 4 * delta * (h[j ^ x] - h[i ^ x])
+    ds[0] = ds[i ^ j] = 0
+    g += 3 * delta * (s[x ^ i] - s[x ^ j]) - 4 * delta * delta * (h - h[x ^ i ^ j])
+    g += delta * (ds[x ^ i] - ds[x ^ j])
+    s += ds
+    h[i], h[j] = h[j], h[i]
 
 
 def ls_hwf(n: int, rng: RngStream) -> SearchResult:
@@ -72,19 +114,18 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
     initial = random_bijective_sbox(n, rng)
     size = 1 << n
 
-    table = np.asarray(initial.table, dtype=np.int64).copy()
-    h = np.bitwise_count(table.astype(np.uint32)).astype(np.int64)
-
-    start_profile = kappa_profile(initial)
-    start_key = ccv_key_from_profile(start_profile)
-    count = start_key.count
-    sum_s, sum_s2, key = start_key.sum_s, start_key.sum_s2, start_key.key
-    s_values = start_profile.values.copy()
+    table = np.asarray(initial.table, dtype=np.int64)
+    h = np.bitwise_count(table).astype(np.int64)
+    profile = kappa_profile(initial)
+    s = profile.values.copy()
+    g = _convolve(h, s)
+    start_key = ccv_key_from_profile(profile)
+    count, sum_s, sum_s2 = start_key.count, start_key.sum_s, start_key.sum_s2
+    positions = np.arange(size)
 
     events: list[ClimbEvent] = []
     evaluations = 0
     passes = 0
-    climb = 0
 
     improved = True
     while improved:
@@ -93,38 +134,28 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
         for i in range(size - 1):
             j_next = i + 1
             while j_next < size:
-                js = np.arange(j_next, size)
-                eligible = js[h[js] != h[i]]
-                if eligible.size == 0:
-                    break
-                ds, dsum, dsum2 = swap_deltas(h, s_values, i, eligible)
-                cand_keys = count * (sum_s2 + dsum2) - (sum_s + dsum) ** 2
-                better = np.nonzero(cand_keys > key)[0]
+                js = positions[j_next:]
+                gains = _gains(h, s, g, i, js)
+                better = np.flatnonzero(gains > 0)
+                # Candidates are the weight-differing pairs up to the first accepted.
+                scanned = int(better[0]) + 1 if better.size else js.size
+                evaluations += int(np.count_nonzero(h[j_next : j_next + scanned] != h[i]))
                 if better.size == 0:
-                    evaluations += int(eligible.size)
                     break
-                first = int(better[0])
-                evaluations += first + 1
-                j = int(eligible[first])
+                first = scanned - 1
+                j = j_next + first
 
-                s_values[1:] += ds[first]
-                sum_s += int(dsum[first])
-                sum_s2 += int(dsum2[first])
-                key = count * sum_s2 - sum_s * sum_s
+                _swap(h, s, g, i, j)
                 table[i], table[j] = table[j], table[i]
-                h[i], h[j] = h[j], h[i]
-                climb += 1
-
-                snapshot = SBox(n, n, tuple(int(v) for v in table))
-                key_after = CcvKey(n, count, sum_s, sum_s2, key)
-                events.append(ClimbEvent(climb, i, j, key_after.value, key_after, snapshot))
+                sum_s2 += int(gains[first])
+                key_after = CcvKey(n, count, sum_s, sum_s2, count * sum_s2 - sum_s * sum_s)
+                events.append(ClimbEvent(len(events) + 1, i, j, key_after.value, key_after))
                 improved = True
                 j_next = j + 1
 
-    final = SBox(n, n, tuple(int(v) for v in table))
     return SearchResult(
         initial=initial,
-        final=final,
+        final=SBox(n, n, tuple(table.tolist())),
         events=tuple(events),
         n=n,
         master_seed=rng.master_seed,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .metrics import metric_value
 from .rng import SEED_MIXER_ID, RngStream
-from .sbox import SBox, hw_class_shuffle
+from .sbox import SBox, hw_class_shuffle, swap_outputs
 from .search import ls_hwf
 
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
@@ -129,9 +129,11 @@ def _run_trajectory(
 ) -> Trajectory:
     result = ls_hwf(n, RngStream(master_seed, (run_id,)))
     points = []
+    incumbent = result.initial
     for event in result.events:
+        incumbent = swap_outputs(incumbent, event.i, event.j)
         sample = sample_equal_ccv(
-            event.sbox_after,
+            incumbent,
             sample_size,
             RngStream(master_seed, (run_id, event.climb_index)),
         )

@@ -4,9 +4,12 @@ Everything here is written directly from the defining sums, shares no code
 with the package under test, and is kept deliberately naive.  The `*_from_table`
 reductions read TO, MTO and RTO off a cross-correlation table c[i, j, a] and
 end with the same m - total / (4^n - 2^n) as the package, so their floats can
-be compared exactly.  The frozen AES constants at the bottom were computed
-with the exact-rational version of these oracles before the package was
-built.
+be compared exactly.  `swap_deltas` scores a swap by updating the profile
+term by term, O(2^n) per candidate; `ccv_incremental` and the climber
+`ls_hwf_batched` are built on it, and the search's closed-form gain and
+O(2^n) update are checked against them.  The frozen AES constants at the
+bottom were computed with the exact-rational version of these oracles before
+the package was built.
 """
 
 import numpy as np
@@ -139,6 +142,103 @@ def rto_beta_direct(table, n: int, m: int, beta: int) -> float:
                 outer += sign * c[i][j][a]
         total += abs(outer)
     return m - total / (size * size - size)
+
+
+def xor_convolution_direct(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G[x] = sum_d h(x^d) s[d], one O(2^n) dot product per x."""
+    xs = np.arange(h.size)
+    return np.array([np.dot(h[x ^ xs], s) for x in xs], dtype=np.int64)
+
+
+def swap_deltas(h: np.ndarray, values: np.ndarray, i: int, js: np.ndarray):
+    """Profile changes of swapping the outputs at i and at each j in js.
+
+    h is the int64 Hamming-weight table and values the current profile.
+    Returns (ds, dsum, dsum2): ds[r, d - 1] is the change of values[d] for
+    the swap (i, js[r]), dsum its row sums (the change of sum(S)) and dsum2
+    the change of sum(S^2).  Only the summands at x in {i, j, i^d, j^d} change
+    for each difference d, so a row costs O(2^n) instead of O(4^n).
+    """
+    deltas = np.arange(1, h.size)
+    hi = h[i]
+    hj = h[js]
+    hid = h[i ^ deltas]
+    hjd = h[js[:, None] ^ deltas[None, :]]
+    da = hj[:, None] - hid[None, :]
+    db = hi - hid
+    dc = hi - hjd
+    dd = hj[:, None] - hjd
+    ds = 2 * (da * da - (db * db)[None, :] + dc * dc - dd * dd)
+    # d = i^j maps the pair {i, j} to itself: no change there.
+    ds[np.arange(js.size), (i ^ js) - 1] = 0
+    dsum = ds.sum(axis=1)
+    dsum2 = (ds * (ds + 2 * values[1:][None, :])).sum(axis=1)
+    return ds, dsum, dsum2
+
+
+def ccv_incremental(table, values: np.ndarray, sum_s: int, sum_s2: int, i: int, j: int):
+    """Profile, sum(S) and sum(S^2) after swapping the outputs at i and j.
+
+    One row of `swap_deltas`; an equal-weight swap changes nothing.
+    """
+    h = np.array([hw(v) for v in table], dtype=np.int64)
+    if h[i] == h[j]:
+        return values, sum_s, sum_s2
+    ds, dsum, dsum2 = swap_deltas(h, values, i, np.array([j]))
+    new_values = values.copy()
+    new_values[1:] += ds[0]
+    return new_values, sum_s + int(dsum[0]), sum_s2 + int(dsum2[0])
+
+
+def ls_hwf_batched(table, n: int):
+    """LS-HWF from a given initial table, scoring candidates with `swap_deltas`.
+
+    Scans pairs (i, j), j > i, in lexicographic order and accepts the first
+    weight-differing swap whose key N sum(S^2) - sum(S)^2 strictly exceeds
+    the incumbent's, until a full pass accepts nothing.  Returns (events,
+    evaluations, passes, final table), an event being (i, j, (n, count,
+    sum_s, sum_s2, key)) after the swap.
+    """
+    size = 1 << n
+    table = list(table)
+    h = np.array([hw(v) for v in table], dtype=np.int64)
+    values = kappa_profile_direct(table, n)
+    count = size - 1
+    sum_s = int(values[1:].sum())
+    sum_s2 = int((values[1:] ** 2).sum())
+    key = count * sum_s2 - sum_s * sum_s
+    events = []
+    evaluations = passes = 0
+    improved = True
+    while improved:
+        improved = False
+        passes += 1
+        for i in range(size - 1):
+            j_next = i + 1
+            while j_next < size:
+                js = np.arange(j_next, size)
+                eligible = js[h[js] != h[i]]
+                if eligible.size == 0:
+                    break
+                ds, dsum, dsum2 = swap_deltas(h, values, i, eligible)
+                cand_keys = count * (sum_s2 + dsum2) - (sum_s + dsum) ** 2
+                better = np.nonzero(cand_keys > key)[0]
+                if better.size == 0:
+                    evaluations += int(eligible.size)
+                    break
+                first = int(better[0])
+                evaluations += first + 1
+                j = int(eligible[first])
+                values[1:] += ds[first]
+                sum_s += int(dsum[first])
+                sum_s2 += int(dsum2[first])
+                key = count * sum_s2 - sum_s * sum_s
+                table[i], table[j] = table[j], table[i]
+                h[i], h[j] = h[j], h[i]
+                events.append((i, j, (n, count, sum_s, sum_s2, key)))
+                improved = True
+                j_next = j + 1
+    return events, evaluations, passes, tuple(table)
 
 
 AES_SBOX = (

@@ -174,8 +174,10 @@ def test_search_correctness():
                 e.ccv_key_after.key for e in result.events
             ]
             assert all(b > a for a, b in zip(keys, keys[1:])), f"run={run}"
+            sbox = result.initial
             for e in result.events:
-                assert e.ccv_key_after == ccv_key(e.sbox_after), f"run={run}"
+                sbox = swap_outputs(sbox, e.i, e.j)
+                assert e.ccv_key_after == ccv_key(sbox), f"run={run}"
             final = result.final
             base = ccv_key(final).key
             for i in range(final.size - 1):

@@ -344,12 +344,12 @@ class TestInputsCheckedFirst:
         assert not plot.exists()
 
     def test_search_unsupported_width(self, capsys, no_search):
-        assert main(["search", "--n", "12"]) == 1
+        assert main(["search", "--n", "13"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_experiment_unsupported_width(self, tmp_path, capsys, no_search):
         out = tmp_path / "D"
-        argv = ["experiment", "--n", "12", "--metric", "to", "--runs", "2"]
+        argv = ["experiment", "--n", "13", "--metric", "to", "--runs", "2"]
         assert main(argv + ["--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()

@@ -1,3 +1,7 @@
+import tracemalloc
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from sboxtraj import (
@@ -6,11 +10,14 @@ from sboxtraj import (
     ccv,
     ccv_key,
     hamming_weight,
+    kappa_profile,
     ls_hwf,
+    random_bijective_sbox,
     swap_outputs,
 )
+from sboxtraj.search import _convolve, _gains, _swap
 
-from oracles import hw
+from oracles import hw, ls_hwf_batched, swap_deltas, xor_convolution_direct
 
 
 def exhaustively_locally_optimal(sbox):
@@ -26,10 +33,18 @@ def exhaustively_locally_optimal(sbox):
     return True
 
 
+def incumbents(result):
+    """The S-box after each event, replayed from the initial one."""
+    sbox = result.initial
+    for event in result.events:
+        sbox = swap_outputs(sbox, event.i, event.j)
+        yield sbox
+
+
 def assert_keys_recompute(result):
     """Every event's incremental key equals a full recomputation."""
-    for event in result.events:
-        assert event.ccv_key_after == ccv_key(event.sbox_after)
+    for event, sbox in zip(result.events, incumbents(result)):
+        assert event.ccv_key_after == ccv_key(sbox)
 
 
 class TestLsHwf:
@@ -44,8 +59,8 @@ class TestLsHwf:
     def test_rejects_bad_width(self):
         with pytest.raises(SBoxError):
             ls_hwf(1, RngStream(0))
-        with pytest.raises(SBoxError):  # past the int64 sweep bound
-            ls_hwf(12, RngStream(0))
+        with pytest.raises(SBoxError):  # past the int64 bound of the G transform
+            ls_hwf(13, RngStream(0))
 
     def test_final_not_worse_than_initial(self):
         for seed in range(6):
@@ -66,7 +81,7 @@ class TestLsHwf:
             # the swapped outputs must differ in weight at the moment of the swap
             assert hamming_weight(sbox.table[event.i]) != hamming_weight(sbox.table[event.j])
             sbox = swap_outputs(sbox, event.i, event.j)
-            assert sbox == event.sbox_after
+            assert event.ccv_key_after == ccv_key(sbox)
             assert sbox.is_bijective
         assert sbox == result.final
 
@@ -75,8 +90,8 @@ class TestLsHwf:
         assert [e.climb_index for e in result.events] == list(
             range(1, len(result.events) + 1)
         )
+        assert_keys_recompute(result)
         for event in result.events:
-            assert event.ccv_key_after == ccv_key(event.sbox_after)
             assert event.ccv_after == event.ccv_key_after.value
 
     def test_incremental_agrees_with_recompute(self):
@@ -109,7 +124,70 @@ class TestLsHwf:
         def must_not_build(*args):
             raise AssertionError("built an S-box for an unsupported width")
 
-        monkeypatch.setattr(search_mod, "_int64_sweep_safe", lambda *args: False)
+        monkeypatch.setattr(search_mod, "_int64_bounds", lambda n: (2**63,))
         monkeypatch.setattr(search_mod, "random_bijective_sbox", must_not_build)
         with pytest.raises(SBoxError):
             ls_hwf(4, RngStream(6))
+
+    def test_width_12_completes_without_snapshots(self):
+        # Events carry no S-box, so memory stays O(2^n), not O(climbs 2^n).
+        tracemalloc.start()
+        try:
+            result = ls_hwf(12, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.final.is_bijective
+        assert result.events
+        assert ccv_key(result.final) == result.events[-1].ccv_key_after
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_oracle_climber(self, n):
+        for seed in range(3):
+            result = ls_hwf(n, RngStream(seed, (n,)))
+            events, evaluations, passes, final = ls_hwf_batched(result.initial.table, n)
+            assert [(e.i, e.j, astuple(e.ccv_key_after)) for e in result.events] == events
+            assert (result.evaluations, result.passes) == (evaluations, passes)
+            assert result.final.table == final
+
+
+class TestSwapKernel:
+    """The closed-form gain and the O(2^n) update against the oracle."""
+
+    @staticmethod
+    def state(sbox):
+        h = np.array([hw(v) for v in sbox.table], dtype=np.int64)
+        s = kappa_profile(sbox).values.copy()
+        return h, s, _convolve(h, s)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_gain_equals_oracle_dsum2(self, n):
+        sbox = random_bijective_sbox(n, RngStream(n, (5,)))
+        h, s, g = self.state(sbox)
+        assert np.array_equal(g, xor_convolution_direct(h, s))
+        positions = np.arange(sbox.size)
+        for i in range(sbox.size - 1):
+            js = positions[i + 1 :][h[i + 1 :] != h[i]]
+            if js.size == 0:
+                continue
+            _ds, dsum, dsum2 = swap_deltas(h, s, i, js)
+            assert not dsum.any()
+            assert np.array_equal(_gains(h, s, g, i, js), dsum2)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_update_equals_recompute(self, n):
+        rng = RngStream(n, (6,))
+        sbox = random_bijective_sbox(n, rng)
+        h, s, g = self.state(sbox)
+        swaps = 0
+        while swaps < 6:
+            i, j = rng.randrange(sbox.size), rng.randrange(sbox.size)
+            if h[i] == h[j]:
+                continue
+            swaps += 1
+            _swap(h, s, g, i, j)
+            sbox = swap_outputs(sbox, i, j)
+            assert np.array_equal(h, [hw(v) for v in sbox.table])
+            assert np.array_equal(s, kappa_profile(sbox).values)
+            assert np.array_equal(g, xor_convolution_direct(h, s))

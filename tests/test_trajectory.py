@@ -21,6 +21,7 @@ from sboxtraj import (
     run_experiment,
     sample_equal_ccv,
     summary_stats,
+    swap_outputs,
     transparency_order,
 )
 from sboxtraj.metrics import METRIC_NAMES
@@ -68,38 +69,44 @@ class TestSampleEqualCcv:
 
 
 def driver_points(metric, sample_size, master_seed, n=4, runs=2):
-    """(point, climb event) pairs of a small experiment, in run order."""
+    """(point, climb event, incumbent) of a small experiment, in run order.
+
+    The incumbent is the S-box after the event's swap, replayed from the
+    search's initial S-box.
+    """
     summary = run_experiment(
         n=n, metric=metric, runs=runs, sample_size=sample_size, master_seed=master_seed
     )
-    pairs = []
+    triples = []
     for run_id, trajectory in enumerate(summary.trajectories):
         result = ls_hwf(n, RngStream(master_seed, (run_id,)))
         assert len(trajectory.points) == len(result.events)
-        pairs.extend(zip(trajectory.points, result.events))
-    assert pairs
-    return pairs
+        sbox = result.initial
+        for point, event in zip(trajectory.points, result.events):
+            sbox = swap_outputs(sbox, event.i, event.j)
+            triples.append((point, event, sbox))
+    assert triples
+    return triples
 
 
 class TestTrajectoryPoint:
     """The experiment driver is the one place that computes points."""
 
     def test_single_member(self):
-        for point, event in driver_points("to", 1, 3):
-            sbox = event.sbox_after
+        for point, event, sbox in driver_points("to", 1, 3):
             assert point == TrajectoryPoint(
                 event.climb_index, ccv(sbox), transparency_order(sbox), "to", 1
             )
 
     def test_mean_ccv_is_exact_on_equal_ccv_sample(self):
-        for point, event in driver_points("mto0", 30, 10):
-            assert point.mean_ccv == ccv(event.sbox_after)
+        for point, _event, sbox in driver_points("mto0", 30, 10):
+            assert point.mean_ccv == ccv(sbox)
 
     def test_identical_members_give_member_metric(self):
         # rto0 depends only on the HW sequence, so every class shuffle in a
         # sample has the incumbent's value, and the mean must be that value.
-        for point, event in driver_points("rto0", 7, 12):
-            assert point.mean_metric == rto_beta_zero(event.sbox_after)
+        for point, _event, sbox in driver_points("rto0", 7, 12):
+            assert point.mean_metric == rto_beta_zero(sbox)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -229,10 +236,10 @@ class TestRunExperiment:
         summary = run_experiment(n=4, metric="to", runs=2, sample_size=5, master_seed=31)
         for run_id, trajectory in enumerate(summary.trajectories):
             result = ls_hwf(4, RngStream(31, (run_id,)))
+            sbox = result.initial
             for point, event in zip(trajectory.points, result.events):
-                sample = sample_equal_ccv(
-                    event.sbox_after, 5, RngStream(31, (run_id, event.climb_index))
-                )
+                sbox = swap_outputs(sbox, event.i, event.j)
+                sample = sample_equal_ccv(sbox, 5, RngStream(31, (run_id, event.climb_index)))
                 keys = {ccv_key(s) for s in sample}
                 assert len(keys) == 1
                 values = [metric_value(s, "to") for s in sample]
