@@ -117,7 +117,7 @@ def _write_trajectories_csv(path: Path, summary: ExperimentSummary) -> None:
                         point.climb_index,
                         _fmt(point.mean_ccv),
                         _fmt(point.mean_metric),
-                        point.metric,
+                        summary.metric,
                     ]
                 )
 

@@ -66,8 +66,5 @@ class RngStream:
         self._rng.shuffle(items)
         return items
 
-    def randrange(self, upper: int) -> int:
-        return self._rng.randrange(upper)
-
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, path={self.path})"

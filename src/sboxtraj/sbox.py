@@ -35,13 +35,6 @@ class IndexOutOfRangeError(SBoxError):
     """A position argument is outside the S-box domain."""
 
 
-def hamming_weight(v: int) -> int:
-    """Number of set bits of a nonnegative integer."""
-    if v < 0:
-        raise ValueError(f"hamming_weight is defined for nonnegative values, got {v}")
-    return v.bit_count()
-
-
 @dataclass(frozen=True)
 class SBox:
     """An n-to-m-bit substitution box held as a flat table of 2^n outputs.
@@ -81,24 +74,6 @@ class SBox:
     @property
     def size(self) -> int:
         return 1 << self.n
-
-    @property
-    def is_bijective(self) -> bool:
-        """True when n = m and the table is a permutation of its domain."""
-        return self.n == self.m and len(set(self.table)) == self.size
-
-    def __str__(self) -> str:
-        return f"SBox {self.n}x{self.m} {list(self.table)}"
-
-
-def identity_sbox(n: int) -> SBox:
-    """The n-bit identity permutation."""
-    return SBox(n, n, tuple(range(1 << n)))
-
-
-def constant_sbox(n: int, m: int, value: int = 0) -> SBox:
-    """The S-box mapping every input to `value`."""
-    return SBox(n, m, (value,) * (1 << n))
 
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
@@ -155,49 +130,22 @@ def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
     return SBox(sbox.n, sbox.m, tuple(table))
 
 
-@dataclass(frozen=True)
-class HwClasses:
-    """Partition of the domain by the Hamming weight of the S-box output.
-
-    positions[w] lists the inputs x with HW(F(x)) = w; values[w] holds the
-    outputs at those positions, aligned index-for-index with positions[w].
-    """
-
-    m: int
-    positions: tuple[tuple[int, ...], ...]
-    values: tuple[tuple[int, ...], ...]
-
-
-def hw_classes(sbox: SBox) -> HwClasses:
-    """Group domain positions by output Hamming weight."""
-    positions: list[list[int]] = [[] for _ in range(sbox.m + 1)]
-    values: list[list[int]] = [[] for _ in range(sbox.m + 1)]
-    for x, v in enumerate(sbox.table):
-        w = hamming_weight(v)
-        positions[w].append(x)
-        values[w].append(v)
-    return HwClasses(
-        sbox.m,
-        tuple(tuple(p) for p in positions),
-        tuple(tuple(v) for v in values),
-    )
-
-
 def hw_class_shuffle(sbox: SBox, rng: RngStream) -> SBox:
     """Re-permute outputs uniformly within each Hamming-weight class.
 
     The result F' satisfies HW(F'(x)) = HW(F(x)) for every x, so its
     confusion-coefficient profile (and CCV) is exactly that of `sbox`.
-    Bijectivity is preserved.  One independent shuffle is drawn per weight
-    class; the draw may coincide with the input table.
+    Bijectivity is preserved.  The draws are one rng.shuffle of the outputs
+    of each non-empty class, in ascending weight and, within a class, in
+    ascending position; the result may coincide with the input table.
     """
-    classes = hw_classes(sbox)
+    classes: list[list[int]] = [[] for _ in range(sbox.m + 1)]
+    for x, v in enumerate(sbox.table):
+        classes[v.bit_count()].append(x)
     table = list(sbox.table)
-    for positions, values in zip(classes.positions, classes.values):
-        if not positions:
-            continue
-        shuffled = list(values)
-        rng.shuffle(shuffled)
-        for pos, v in zip(positions, shuffled):
-            table[pos] = v
+    for positions in filter(None, classes):
+        values = [table[x] for x in positions]
+        rng.shuffle(values)
+        for x, v in zip(positions, values):
+            table[x] = v
     return SBox(sbox.n, sbox.m, tuple(table))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .metrics import CcvKey, _fwht_rows, ccv_key_from_profile, kappa_profile
 from .rng import RngStream
-from .sbox import SBox, SBoxError, random_bijective_sbox
+from .sbox import MAX_WIDTH, SBox, SBoxError, random_bijective_sbox
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ def _int64_bounds(n: int) -> tuple[int, ...]:
 
 
 def check_search_width(n: int) -> None:
-    """Raise SBoxError unless n >= 2 and every int64 bound holds at n."""
-    if n < 2 or not all(bound < 2**63 for bound in _int64_bounds(n)):
+    """Raise SBoxError unless n is in 2..MAX_WIDTH and every int64 bound holds
+    at n; the range comes first, so no bound is evaluated at a huge n."""
+    if not 2 <= n <= MAX_WIDTH or not all(bound < 2**63 for bound in _int64_bounds(n)):
         raise SBoxError(f"search supports n in 2..12 (int64-exact kernel), got {n}")
 
 

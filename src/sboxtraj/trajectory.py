@@ -38,8 +38,6 @@ class TrajectoryPoint:
     climb_index: int
     mean_ccv: float
     mean_metric: float
-    metric: str
-    sample_size: int
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class Trajectory:
     """Ordered climb points of one run; pearson_r is None when degenerate."""
 
     run_id: int
-    metric: str
     points: tuple[TrajectoryPoint, ...]
     pearson_r: float | None
 
@@ -140,16 +137,12 @@ def _run_trajectory(
         values = [metric_value(s, metric) for s in sample]
         # The sample is CCV-constant by construction, so the mean CCV is the
         # incumbent's value exactly.
-        points.append(
-            TrajectoryPoint(
-                event.climb_index, event.ccv_after, _mean(values), metric, sample_size
-            )
-        )
+        points.append(TrajectoryPoint(event.climb_index, event.ccv_after, _mean(values)))
     try:
         r = pearson(points)
     except DegenerateTrajectoryError:
         r = None
-    return Trajectory(run_id, metric, tuple(points), r)
+    return Trajectory(run_id, tuple(points), r)
 
 
 def run_experiment(

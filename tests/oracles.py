@@ -7,9 +7,10 @@ end with the same m - total / (4^n - 2^n) as the package, so their floats can
 be compared exactly.  `swap_deltas` scores a swap by updating the profile
 term by term, O(2^n) per candidate; `ccv_incremental` and the climber
 `ls_hwf_batched` are built on it, and the search's closed-form gain and
-O(2^n) update are checked against them.  The frozen AES constants at the
-bottom were computed with the exact-rational version of these oracles before
-the package was built.
+O(2^n) update are checked against them.  `hw_class_shuffle_reference`
+states the draw contract of the package's class shuffle on a plain table.
+The frozen AES constants at the bottom were computed with the exact-rational
+version of these oracles before the package was built.
 """
 
 import numpy as np
@@ -239,6 +240,25 @@ def ls_hwf_batched(table, n: int):
                 improved = True
                 j_next = j + 1
     return events, evaluations, passes, tuple(table)
+
+
+def hw_class_shuffle_reference(table, m: int, rnd) -> list[int]:
+    """Outputs re-permuted within Hamming-weight classes, drawn from `rnd`.
+
+    `rnd` is a `random.Random`.  For each weight w = 0..m whose class is
+    non-empty, the outputs at the positions of weight w, in ascending
+    position order, get one `rnd.shuffle` and are written back to those
+    positions.
+    """
+    out = list(table)
+    for w in range(m + 1):
+        positions = [x for x in range(len(table)) if hw(table[x]) == w]
+        if positions:
+            values = [table[x] for x in positions]
+            rnd.shuffle(values)
+            for x, v in zip(positions, values):
+                out[x] = v
+    return out
 
 
 AES_SBOX = (

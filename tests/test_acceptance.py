@@ -17,10 +17,8 @@ from sboxtraj import (
     RngStream,
     ccv,
     ccv_key,
-    constant_sbox,
     cross_correlation_fast,
     hw_class_shuffle,
-    identity_sbox,
     ls_hwf,
     mto,
     mto_beta_zero,
@@ -34,6 +32,7 @@ from sboxtraj import (
 from sboxtraj.cli import main as cli_main
 
 import _report
+from builders import constant_sbox, identity_sbox
 from oracles import (
     ccv_bruteforce_ordered,
     cross_correlation_naive,

@@ -7,7 +7,6 @@ import pytest
 from sboxtraj import (
     RngStream,
     ccv,
-    identity_sbox,
     mto_beta_zero,
     parse_sbox,
     random_bijective_sbox,
@@ -16,6 +15,7 @@ from sboxtraj import (
 )
 from sboxtraj.cli import main
 
+from builders import identity_sbox
 from oracles import AES_SBOX
 
 
@@ -133,7 +133,7 @@ class TestSearchCommand:
         out = tmp_path / "final.txt"
         assert main(["search", "--n", "4", "--seed", "3", "--out", str(out)]) == 0
         sbox = parse_sbox(out.read_text(), 4, 4)
-        assert sbox.is_bijective
+        assert sorted(sbox.table) == list(range(16))
 
     def test_climbs_csv_shape(self, tmp_path):
         climbs = tmp_path / "climbs.csv"
@@ -353,6 +353,14 @@ class TestInputsCheckedFirst:
         assert main(argv + ["--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_huge_width_exits_before_bounds(self, tmp_path, capsys, bounds_only_in_range):
+        huge = str(10**20)
+        assert main(["search", "--n", huge]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        argv = ["experiment", "--n", huge, "--metric", "to", "--out-dir", str(tmp_path / "D")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 GOLDEN_EXPERIMENTS = {

@@ -8,10 +8,8 @@ from sboxtraj import (
     SBox,
     ccv,
     ccv_key,
-    constant_sbox,
     cross_correlation_fast,
     hw_class_shuffle,
-    identity_sbox,
     kappa_profile,
     mto,
     mto_beta,
@@ -26,6 +24,7 @@ from sboxtraj import (
 from sboxtraj.metrics import _RTO_CHUNK_ELEMENTS, ccv_key_from_profile
 from sboxtraj.sbox import MAX_WIDTH, SBoxError
 
+from builders import bijection_and_draws, constant_sbox, identity_sbox
 from oracles import (
     AES_CCV,
     AES_MTO0,
@@ -328,8 +327,7 @@ class TestCcvIncremental:
         assert ccv_key(swap_outputs(sbox, 1, 2)) == key
 
     def test_hundred_chained_swaps_on_5x5(self):
-        rng = RngStream(77)
-        sbox = random_bijective_sbox(5, rng)
+        sbox, rng = bijection_and_draws(5, 77)
         key = ccv_key(sbox)
         values, sum_s, sum_s2 = kappa_profile(sbox).values, key.sum_s, key.sum_s2
         for step in range(100):

@@ -9,14 +9,14 @@ from sboxtraj import (
     SBoxError,
     ccv,
     ccv_key,
-    hamming_weight,
     kappa_profile,
     ls_hwf,
     random_bijective_sbox,
     swap_outputs,
 )
-from sboxtraj.search import _convolve, _gains, _swap
+from sboxtraj.search import _convolve, _gains, _swap, check_search_width
 
+from builders import bijection_and_draws
 from oracles import hw, ls_hwf_batched, swap_deltas, xor_convolution_direct
 
 
@@ -62,6 +62,11 @@ class TestLsHwf:
         with pytest.raises(SBoxError):  # past the int64 bound of the G transform
             ls_hwf(13, RngStream(0))
 
+    @pytest.mark.parametrize("n", [17, 10**20])
+    def test_width_range_checked_before_bounds(self, n, bounds_only_in_range):
+        with pytest.raises(SBoxError):
+            check_search_width(n)
+
     def test_final_not_worse_than_initial(self):
         for seed in range(6):
             result = ls_hwf(4, RngStream(seed))
@@ -79,10 +84,10 @@ class TestLsHwf:
         sbox = result.initial
         for event in result.events:
             # the swapped outputs must differ in weight at the moment of the swap
-            assert hamming_weight(sbox.table[event.i]) != hamming_weight(sbox.table[event.j])
+            assert hw(sbox.table[event.i]) != hw(sbox.table[event.j])
             sbox = swap_outputs(sbox, event.i, event.j)
             assert event.ccv_key_after == ccv_key(sbox)
-            assert sbox.is_bijective
+            assert sorted(sbox.table) == list(range(16))
         assert sbox == result.final
 
     def test_event_metadata(self):
@@ -137,7 +142,7 @@ class TestLsHwf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.final.is_bijective
+        assert sorted(result.final.table) == list(range(4096))
         assert result.events
         assert ccv_key(result.final) == result.events[-1].ccv_key_after
         assert peak < 16 * 2**20
@@ -177,12 +182,11 @@ class TestSwapKernel:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_update_equals_recompute(self, n):
-        rng = RngStream(n, (6,))
-        sbox = random_bijective_sbox(n, rng)
+        sbox, rnd = bijection_and_draws(n, n, (6,))
         h, s, g = self.state(sbox)
         swaps = 0
         while swaps < 6:
-            i, j = rng.randrange(sbox.size), rng.randrange(sbox.size)
+            i, j = rnd.randrange(sbox.size), rnd.randrange(sbox.size)
             if h[i] == h[j]:
                 continue
             swaps += 1
