@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .metrics import METRIC_NAMES, metric_value
 from .rng import RngStream
-from .sbox import MAX_WIDTH, SBoxError, parse_sbox, serialize_sbox
+from .sbox import SBoxError, parse_sbox, serialize_sbox
 from .search import check_search_width, ls_hwf
 from .trajectory import METRICS, ExperimentSummary, run_experiment
 
@@ -33,11 +33,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise CliError(message)
-
-
-def _check_n(n: int) -> None:
-    if not 2 <= n <= MAX_WIDTH:
-        raise CliError(f"--n must be in 2..{MAX_WIDTH}, got {n}")
 
 
 def _check_out_file(path: str | None, flag: str) -> None:
@@ -57,7 +52,6 @@ def _fmt(value: float) -> str:
 
 
 def cmd_metrics(args) -> int:
-    _check_n(args.n)
     m = args.m if args.m is not None else args.n
     try:
         text = Path(args.sbox).read_text()

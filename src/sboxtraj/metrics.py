@@ -7,33 +7,37 @@ end; results are deterministic to the bit.
 Component i of an S-box output is bit i (least-significant first), and bit i
 of a pre-charge value beta addresses the same component.
 
-Each metric has exactly one algorithm, built from Walsh-Hadamard
-correlations.  Let s_i(x) = (-1)^F_i(x), W_i its Walsh-Hadamard spectrum,
-C[i, j, a] = sum_x s_i(x) s_j(x^a) the cross-correlation spectrum, and
-u(x) = sum_i (-1)^b_i s_i(x) = m - 2 HW(F(x) ^ beta) the leakage vector of a
-pre-charge beta (for beta = 0, the Hamming-weight vector m - 2 HW(F(x))):
+Every metric comes from one representation, the component spectra.  Let
+s_i(x) = (-1)^F_i(x) and W_i its Walsh-Hadamard spectrum (`_spectra`: m
+rows, component-major).  The leakage vector of a pre-charge beta,
+u(x) = sum_i (-1)^b_i s_i(x) = m - 2 HW(F(x) ^ beta), has by linearity the
+spectrum W_u = sum_i (-1)^b_i W_i (`_leakage_spectra`).  A correlation
+sum_x f(x) g(x^a) is the inverse transform of the product of the spectra
+(`_correlate`), so each metric is one inverse transform of a product:
 
-- MTO at beta needs sum_i (-1)^b_i C[i, j, a] = sum_x u(x) s_j(x^a), the
-  inverse transform of W_u W_j, where W_u = sum_i (-1)^b_i W_i by
-  linearity: m forward and m inverse rows;
-- RTO at beta needs the double sum over i and j, the autocorrelation of u;
-- TO needs sum_j C[j, j, a], the inverse transform of sum_j W_j^2: one row;
-- the CCV profile is values[d] = 2 (A[0] - A[d]), with A the
-  autocorrelation of HW(F(x)).
+- TO: sum_j W_j^2, the diagonal sum_j C[j, j, a] of the cross-correlation
+  spectrum C[i, j, a] = sum_x s_i(x) s_j(x^a);
+- MTO at beta: W_u W_j, the correlation of u with component j;
+- RTO at beta: W_u^2, the autocorrelation A of u, for one beta or for every
+  chunk of pre-charge representatives in the full-beta `rto`;
+- the CCV profile: (A[0] - A) / 2 with A at beta = 0, because u = m - 2 HW
+  gives A[0] - A[d] = 4 sum_x (HW(F(x))^2 - HW(F(x)) HW(F(x^d))).
 
-`_fwht_rows` is the only transform kernel and `_autocorrelation` the only
-autocorrelation.  The full-beta `rto` autocorrelates u for all 2^(m-1)
-pre-charge representatives in chunks of a fixed element budget.  The full
-table C (`cross_correlation_fast`, m + m^2 rows) is built only inside the
-full-beta `mto`, which contracts it with the signs of each representative.
-Both full-beta metrics cost 2^(m-1) times a single beta, so at m = 16 they
-take many minutes.  The tests check every metric against direct summation.
+`_fwht_rows` is the only transform kernel, `_correlate` the only inverse and
+`_score` the only map from an integer total to a metric value.  The full
+table C (`cross_correlation_fast`, m^2 inverse rows) is built only inside
+the full-beta `mto`, which contracts it with the signs of each of the 2^(m-1)
+pre-charge representatives; the full-beta `rto` takes W_u^2 in chunks of a
+fixed element budget.  Both full-beta metrics cost 2^(m-1) times a single
+beta, so at m = 16 they take many minutes.  The tests check every metric
+against direct summation.
 
 int64 bounds.  If a row of length 2^n has entries bounded by B, every stage
-of its transform is bounded by 2^n B.  The worst case of each path is then
-8^n for the table, m 8^n for TO and MTO (products of spectra bounded by
-m 4^n) and m^2 8^n for RTO and the CCV autocorrelation (|u|, HW <= m).  At
-the largest widths, n = m = 16, that is 2^48, 2^52 and 2^56, all below 2^63.
+of its transform is bounded by 2^n B.  |W_i| <= 2^n and |W_u| <= m 2^n, so
+the worst case of each inverse transform is 8^n for the table, m 8^n for TO
+and MTO (products bounded by m 4^n) and m^2 8^n for RTO and the CCV profile
+(W_u^2 <= m^2 4^n).  At the largest widths, n = m = 16, that is 2^48, 2^52
+and 2^56, all below 2^63.
 
 `metric_value` is the one map from a metric name to its function, shared by
 the CLI and the experiment driver.
@@ -46,43 +50,58 @@ import numpy as np
 from .sbox import SBox
 
 
-def _hw_table(sbox: SBox, betas=0) -> np.ndarray:
-    """HW(F(x) ^ beta) for every x, as int64: the Hamming weight for beta = 0.
-
-    An array of betas gives one row per beta.
-    """
-    betas = np.asarray(betas, dtype=np.uint32)[..., None]
-    return np.bitwise_count(np.asarray(sbox.table, dtype=np.uint32) ^ betas).astype(np.int64)
-
-
-def _component_signs(sbox: SBox) -> np.ndarray:
-    """(m, 2^n) matrix of (-1)^(F_i(x)) values."""
-    table = np.asarray(sbox.table, dtype=np.int64)
-    bits = (table[None, :] >> np.arange(sbox.m)[:, None]) & 1
-    return (1 - 2 * bits).astype(np.int64)
+def _signs(values, m: int) -> np.ndarray:
+    """(-1)^(bit i of v) as int64 for i < m, component i along the first axis:
+    shape (m,) + shape(values)."""
+    values = np.asarray(values, dtype=np.int64)
+    shifts = np.arange(m).reshape((m,) + (1,) * values.ndim)
+    return 1 - 2 * ((values >> shifts) & 1)
 
 
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform of each row (natural ordering, unscaled).
+    """Fast Walsh-Hadamard transform along the last axis (natural ordering,
+    unscaled).
 
     Self-inverse up to a factor of the row length.
     """
     a = np.array(mat, dtype=np.int64)
-    rows, size = a.shape
+    shape, size = a.shape, a.shape[-1]
     h = 1
     while h < size:
-        a = a.reshape(rows, size // (2 * h), 2, h)
+        a = a.reshape(-1, size // (2 * h), 2, h)
         top = a[:, :, 0, :] + a[:, :, 1, :]
         bottom = a[:, :, 0, :] - a[:, :, 1, :]
-        a = np.stack((top, bottom), axis=2).reshape(rows, size)
+        a = np.stack((top, bottom), axis=2)
         h *= 2
-    return a
+    return a.reshape(shape)
 
 
-def _autocorrelation(rows: np.ndarray) -> np.ndarray:
-    """A[r, a] = sum_x v_r(x) v_r(x^a) of each integer row v_r, exactly."""
-    spectrum = _fwht_rows(rows)
-    return _fwht_rows(spectrum * spectrum) // rows.shape[1]
+def _correlate(product: np.ndarray) -> np.ndarray:
+    """The correlation sum_x f(x) g(x^a) whose spectrum W_f W_g is `product`,
+    exactly: the transform is self-inverse up to the row length."""
+    return _fwht_rows(product) // product.shape[-1]
+
+
+def _spectra(sbox: SBox) -> np.ndarray:
+    """W: the (m, 2^n) Walsh-Hadamard spectra of the component signs."""
+    return _fwht_rows(_signs(sbox.table, sbox.m))
+
+
+def _leakage_spectra(spectra: np.ndarray, betas) -> np.ndarray:
+    """W_u of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i, one row per beta of
+    an array."""
+    return _signs(betas, len(spectra)).T @ spectra
+
+
+def _leakage_autocorrelation(spectra: np.ndarray, betas) -> np.ndarray:
+    """A[a] = sum_x u(x) u(x^a), one row per beta of an array."""
+    w_u = _leakage_spectra(spectra, betas)
+    return _correlate(w_u * w_u)
+
+
+def _score(sbox: SBox, total: int) -> float:
+    """m - total / (4^n - 2^n), the one division of the TO family."""
+    return sbox.m - total / (sbox.size * sbox.size - sbox.size)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +118,6 @@ class KappaProfile:
     """
 
     n: int
-    m: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -130,11 +148,12 @@ class CcvKey:
 def kappa_profile(sbox: SBox) -> KappaProfile:
     """Integer leakage-difference profile over all nonzero key differences.
 
-    sum_x (h(x) - h(x^d))^2 = 2 (A[0] - A[d]) with A the autocorrelation of
-    the Hamming-weight table h, so the profile costs two transforms.
+    With h the Hamming-weight table, sum_x (h(x) - h(x^d))^2 is
+    2 sum_x (h(x)^2 - h(x) h(x^d)) = (A[0] - A[d]) / 2, where A is the
+    autocorrelation of the beta = 0 leakage vector u = m - 2h.
     """
-    corr = _autocorrelation(_hw_table(sbox, [0]))[0]
-    return KappaProfile(sbox.n, sbox.m, 2 * (corr[0] - corr))
+    corr = _leakage_autocorrelation(_spectra(sbox), 0)
+    return KappaProfile(sbox.n, (corr[0] - corr) // 2)
 
 
 def ccv_key_from_profile(profile: KappaProfile) -> CcvKey:
@@ -172,18 +191,12 @@ def cross_correlation_fast(sbox: SBox) -> np.ndarray:
     the pointwise product of the components' spectra; all divisions are
     exact, so the table equals direct summation entry-for-entry.
     """
-    signs = _component_signs(sbox)
-    spectra = _fwht_rows(signs)
-    size = sbox.size
-    c = np.empty((sbox.m, sbox.m, size), dtype=np.int64)
+    spectra = _spectra(sbox)
+    c = np.empty((sbox.m, sbox.m, sbox.size), dtype=np.int64)
     for i in range(sbox.m):
-        c[i] = _fwht_rows(spectra[i][None, :] * spectra) // size
+        c[i] = _correlate(spectra[i] * spectra)
     c.flags.writeable = False
     return c
-
-
-def _norm_denominator(sbox: SBox) -> int:
-    return sbox.size * sbox.size - sbox.size
 
 
 def transparency_order(sbox: SBox) -> float:
@@ -194,22 +207,14 @@ def transparency_order(sbox: SBox) -> float:
     the cross-correlation spectrum: the inverse transform of sum_j W_j^2
     (exactly, in integers).
     """
-    spectra = _fwht_rows(_component_signs(sbox))
-    power = (spectra * spectra).sum(axis=0)
-    diag_sum = _fwht_rows(power[None, :])[0] // sbox.size
-    total = int(np.abs(diag_sum[1:]).sum())
-    return sbox.m - total / _norm_denominator(sbox)
+    spectra = _spectra(sbox)
+    diag_sum = _correlate((spectra * spectra).sum(axis=0))
+    return _score(sbox, int(np.abs(diag_sum[1:]).sum()))
 
 
 def _check_beta(sbox: SBox, beta: int) -> None:
     if not 0 <= beta < (1 << sbox.m):
         raise ValueError(f"beta {beta} does not fit in m={sbox.m} bits")
-
-
-def _beta_signs(sbox: SBox, betas) -> np.ndarray:
-    """(-1)^b_i for every component i, as int64; one row per beta of an array."""
-    bits = (np.asarray(betas)[..., None] >> np.arange(sbox.m)) & 1
-    return (1 - 2 * bits).astype(np.int64)
 
 
 def mto_beta(sbox: SBox, beta: int) -> float:
@@ -218,15 +223,13 @@ def mto_beta(sbox: SBox, beta: int) -> float:
     m - (1/(4^n - 2^n)) * sum_{a != 0} sum_j |sum_i (-1)^(b_i ^ b_j) C[i, j, a]|;
     the absolute value sits inside the outer component sum.  The inner sum
     sum_i (-1)^b_i C[i, j, a] is the correlation of u = m - 2 HW(F ^ beta)
-    with component j, whose spectrum is sum_i (-1)^b_i W_i.
+    with component j, the inverse transform of W_u W_j.
     """
     _check_beta(sbox, beta)
-    signs = _beta_signs(sbox, beta)
-    spectra = _fwht_rows(_component_signs(sbox))
-    inner = _fwht_rows((signs @ spectra) * spectra) // sbox.size
+    spectra = _spectra(sbox)
+    inner = _correlate(_leakage_spectra(spectra, beta) * spectra)
     # |s_j * inner[j]| = |inner[j]| since s_j is a sign.
-    total = int(np.abs(inner[:, 1:]).sum())
-    return sbox.m - total / _norm_denominator(sbox)
+    return _score(sbox, int(np.abs(inner[:, 1:]).sum()))
 
 
 def rto_beta(sbox: SBox, beta: int) -> float:
@@ -234,13 +237,12 @@ def rto_beta(sbox: SBox, beta: int) -> float:
 
     Same sum as mto_beta but with the absolute value outside both component
     sums, so rto_beta >= mto_beta pointwise.  The double sum is the
-    autocorrelation of u = m - 2 HW(F ^ beta), so it depends only on the
-    sequence HW(F(x) ^ beta).
+    autocorrelation of u = m - 2 HW(F ^ beta), the inverse transform of
+    W_u^2, so it depends only on the sequence HW(F(x) ^ beta).
     """
     _check_beta(sbox, beta)
-    outer = _autocorrelation(sbox.m - 2 * _hw_table(sbox, [beta]))[0]
-    total = int(np.abs(outer[1:]).sum())
-    return sbox.m - total / _norm_denominator(sbox)
+    outer = _leakage_autocorrelation(_spectra(sbox), beta)
+    return _score(sbox, int(np.abs(outer[1:]).sum()))
 
 
 def mto_beta_zero(sbox: SBox) -> float:
@@ -253,7 +255,7 @@ def rto_beta_zero(sbox: SBox) -> float:
     return rto_beta(sbox, 0)
 
 
-# Entries per chunk of u rows in `rto`: 64 KB of int64 per temporary, which
+# Entries per chunk of W_u rows in `rto`: 64 KB of int64 per temporary, which
 # measured no slower than larger chunks; from n = 13 a chunk is a single row.
 _RTO_CHUNK_ELEMENTS = 1 << 13
 
@@ -269,25 +271,26 @@ def mto(sbox: SBox) -> float:
     c = cross_correlation_fast(sbox)
     total = min(
         int(np.abs(np.einsum("i,ija->ja", signs, c)[:, 1:]).sum())
-        for signs in _beta_signs(sbox, np.arange(1 << (sbox.m - 1)))
+        for signs in _signs(np.arange(1 << (sbox.m - 1)), sbox.m).T
     )
-    return sbox.m - total / _norm_denominator(sbox)
+    return _score(sbox, total)
 
 
 def rto(sbox: SBox) -> float:
     """Full RTO: maximum of rto_beta over complement representatives.
 
-    The u rows of the representatives are autocorrelated in chunks of at
-    most _RTO_CHUNK_ELEMENTS entries (one row when a row is larger).
+    The leakage autocorrelations of the representatives are taken in chunks
+    of at most _RTO_CHUNK_ELEMENTS entries (one row when a row is larger),
+    all from one set of component spectra.
     """
+    spectra = _spectra(sbox)
     betas = np.arange(1 << (sbox.m - 1))
     step = max(1, _RTO_CHUNK_ELEMENTS // sbox.size)
     totals = []
     for start in range(0, betas.size, step):
-        corr = _autocorrelation(sbox.m - 2 * _hw_table(sbox, betas[start : start + step]))
+        corr = _leakage_autocorrelation(spectra, betas[start : start + step])
         totals.append(int(np.abs(corr[:, 1:]).sum(axis=1).min()))
-    total = min(totals)
-    return sbox.m - total / _norm_denominator(sbox)
+    return _score(sbox, min(totals))
 
 
 METRIC_NAMES = ("ccv", "to", "mto0", "rto0", "mto", "rto")

@@ -86,7 +86,8 @@ def parse_sbox(text: str, n: int, m: int) -> SBox:
     """Parse an S-box from whitespace/comma separated integers.
 
     Tokens may be decimal or 0x-prefixed hexadecimal, row-major.  The widths
-    n and m are supplied externally (they are not encoded in the file).
+    n and m are supplied externally (they are not encoded in the file);
+    `SBox` checks them before the number of entries.
     """
     values = []
     for token in _TOKEN_SPLIT.split(text.strip()):
@@ -98,8 +99,6 @@ def parse_sbox(text: str, n: int, m: int) -> SBox:
             values.append(int(token, 16) if token[:2] in ("0x", "0X") else int(token))
         except ValueError:  # more decimal digits than int() converts
             raise MalformedTokenError(f"token of {len(token)} digits is too long") from None
-    if len(values) != 1 << n:
-        raise WrongLengthError(f"expected {1 << n} entries for n={n}, got {len(values)}")
     return SBox(n, m, tuple(values))
 
 

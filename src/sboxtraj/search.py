@@ -23,7 +23,8 @@ dS[d] = 4 delta (h(j^d) - h(i^d)), with dS[0] = dS[e] = 0, and G by
     3 delta (S[x^i] - S[x^j]) - 4 delta^2 (h[x] - h[x^e]) + delta (dS[x^i] - dS[x^j])
 
 with h and S taken before the swap: O(2^n) per accepted swap, no transform.
-G is built once per search by `metrics._fwht_rows`.
+G is built once per search, as the inverse transform `metrics._correlate` of
+the product of the spectra of h and S.
 
 int64 bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n, a gain is below
 8 n^4 4^n + 24 n^4 2^n + 32 n^4, and the one-off transform of G stays below
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CcvKey, _fwht_rows, ccv_key_from_profile, kappa_profile
+from .metrics import CcvKey, _correlate, _fwht_rows, ccv_key_from_profile, kappa_profile
 from .rng import RngStream
 from .sbox import MAX_WIDTH, SBox, SBoxError, random_bijective_sbox
 
@@ -66,9 +67,6 @@ class SearchResult:
     initial: SBox
     final: SBox
     events: tuple[ClimbEvent, ...]
-    n: int
-    master_seed: int
-    seed_path: tuple[int, ...]
     evaluations: int
     passes: int
 
@@ -88,7 +86,7 @@ def check_search_width(n: int) -> None:
 def _convolve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     """G[x] = sum_d h(x^d) s[d], exactly."""
     spectra = _fwht_rows(np.stack((h, s)))
-    return _fwht_rows((spectra[0] * spectra[1])[None, :])[0] // h.size
+    return _correlate(spectra[0] * spectra[1])
 
 
 def _gains(h: np.ndarray, s: np.ndarray, g: np.ndarray, i: int, js: np.ndarray) -> np.ndarray:
@@ -158,9 +156,6 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
         initial=initial,
         final=SBox(n, n, tuple(table.tolist())),
         events=tuple(events),
-        n=n,
-        master_seed=rng.master_seed,
-        seed_path=rng.path,
         evaluations=evaluations,
         passes=passes,
     )

@@ -106,6 +106,17 @@ class TestMetricsCommand:
         assert 0.0 <= values["to"] <= 16
         assert 16 - 16 * 16 <= values["mto0"] <= values["rto0"] <= 16
 
+    @pytest.mark.parametrize(
+        "widths",
+        [["--n", str(10**20)], ["--n", "17"], ["--n", "1"], ["--n", "-1"],
+         ["--n", "2", "--m", "17"]],
+        ids=["n=10**20", "n=17", "n=1", "n=-1", "m=17"],
+    )
+    def test_width_out_of_range_exit_1(self, identity_file, capsys, widths):
+        assert main(["metrics", "--sbox", str(identity_file)] + widths) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_metric_exit_1(self, identity_file):
         assert (
             main(["metrics", "--sbox", str(identity_file), "--n", "2", "--metrics", "nl"])

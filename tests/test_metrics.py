@@ -240,6 +240,19 @@ class TestMtoRto:
             assert mto(sbox) == max(mto_beta(sbox, b) for b in betas)
             assert rto(sbox) == max(rto_beta(sbox, b) for b in betas)
 
+    @pytest.mark.parametrize("n,m", [(6, 9), (7, 8), (9, 6), (4, 1), (5, 1), (3, 2), (5, 2)])
+    def test_full_beta_equals_oracle_max(self, n, m):
+        # Independent of the package's per-beta path: the maximum over every
+        # beta of the reductions of the direct-summation table.  The first
+        # three shapes split the representatives of `rto` into several chunks.
+        assert (1 << (m - 1)) * (1 << n) > _RTO_CHUNK_ELEMENTS or m <= 2
+        rnd = random.Random(n * 100 + m)
+        sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
+        table = cross_correlation_naive(sbox)
+        betas = range(1 << m)
+        assert mto(sbox) == max(mto_beta_from_table(table, b) for b in betas)
+        assert rto(sbox) == max(rto_beta_from_table(table, b) for b in betas)
+
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
             mto_beta(identity_sbox(2), 4)
@@ -288,14 +301,24 @@ class TestSpectralCore:
             SBox(MAX_WIDTH + 1, 1, ())
         with pytest.raises(SBoxError):
             SBox(2, MAX_WIDTH + 1, (0, 0, 0, 0))
+        # |W_i| <= 2^n and |W_u| <= m 2^n; an inverse transform of a product
+        # bounded by B stays below 2^n B.
+        w, w_u = 2**n, m * 2**n
         bounds = {
+            "table": 2**n * w * w,
+            "to": 2**n * m * w * w,
+            "mto": 2**n * w_u * w,
+            "rto": 2**n * w_u * w_u,
+            "ccv_profile": 2**n * w_u * w_u,
+        }
+        assert bounds == {
             "table": 8**n,
             "to": m * 8**n,
             "mto": m * 8**n,
             "rto": m * m * 8**n,
-            "ccv_autocorrelation": m * m * 8**n,
+            "ccv_profile": m * m * 8**n,
         }
-        assert bounds["mto"] == 2**52 and bounds["ccv_autocorrelation"] == 2**56
+        assert bounds["mto"] == 2**52 and bounds["ccv_profile"] == 2**56
         assert all(bound < 2**63 for bound in bounds.values())
 
 

@@ -65,6 +65,15 @@ class TestParse:
         with pytest.raises(MalformedTokenError):
             parse_sbox(text, 2, 4)
 
+    @pytest.mark.parametrize(
+        "n,m", [(-1, 2), (0, 2), (1, 2), (17, 2), (10**20, 2), (2, 0), (2, 17), (2, -1)]
+    )
+    def test_widths_checked_before_the_table_size(self, n, m):
+        # The widths are checked before a table size is computed from them:
+        # 1 << n fails at n < 0 and cannot be formatted at n = 10**20.
+        with pytest.raises(SBoxError, match="outside supported range"):
+            parse_sbox("0 1 2 3", n, m)
+
     def test_hex_prefix_case_and_leading_zeros(self):
         assert parse_sbox("0X0 0xF 007 0x0a", 2, 4).table == (0, 15, 7, 10)
 
