@@ -18,8 +18,8 @@ from pathlib import Path
 from .metrics import METRIC_NAMES, metric_value
 from .rng import RngStream
 from .sbox import SBoxError, parse_sbox, serialize_sbox
-from .search import check_search_width, ls_hwf
-from .trajectory import METRICS, ExperimentSummary, run_experiment
+from .search import ls_hwf
+from .trajectory import ExperimentSummary, check_experiment, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +92,7 @@ def cmd_search(args) -> int:
             writer.writerow(["run_id", "climb_index", "i", "j", "ccv"])
             for event in result.events:
                 writer.writerow(
-                    [0, event.climb_index, event.i, event.j, _fmt(event.ccv_after)]
+                    [0, event.climb_index, event.i, event.j, _fmt(event.ccv_key_after.value)]
                 )
     return EXIT_OK
 
@@ -138,13 +138,10 @@ def _write_summary_json(path: Path, summary: ExperimentSummary) -> None:
 
 
 def cmd_experiment(args) -> int:
-    check_search_width(args.n)
-    if args.metric not in METRICS:
-        raise CliError(f"--metric must be one of {','.join(METRICS)}")
-    if args.runs < 2:
-        raise CliError(f"--runs must be >= 2, got {args.runs}")
-    if args.sample_size is not None and args.sample_size < 1:
-        raise CliError(f"--sample-size must be >= 1, got {args.sample_size}")
+    try:
+        check_experiment(args.n, args.metric, args.runs, args.sample_size)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,10 +249,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SBoxError as exc:
+    except (CliError, SBoxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

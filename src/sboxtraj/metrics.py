@@ -62,18 +62,19 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform along the last axis (natural ordering,
     unscaled).
 
-    Self-inverse up to a factor of the row length.
+    Self-inverse up to a factor of the row length; each level updates a copy
+    of the input in place through a view of its butterfly pairs.
     """
     a = np.array(mat, dtype=np.int64)
-    shape, size = a.shape, a.shape[-1]
     h = 1
-    while h < size:
-        a = a.reshape(-1, size // (2 * h), 2, h)
-        top = a[:, :, 0, :] + a[:, :, 1, :]
-        bottom = a[:, :, 0, :] - a[:, :, 1, :]
-        a = np.stack((top, bottom), axis=2)
+    while h < a.shape[-1]:
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        t = x - y
+        x += y
+        y[...] = t
         h *= 2
-    return a.reshape(shape)
+    return a
 
 
 def _correlate(product: np.ndarray) -> np.ndarray:
@@ -108,61 +109,55 @@ def _score(sbox: SBox, total: int) -> float:
 # Confusion coefficient variance
 
 
-@dataclass(frozen=True, eq=False)
-class KappaProfile:
-    """Integer confusion-coefficient profile under the Hamming-weight leakage.
-
-    values[d] = sum_x (HW(F(x)) - HW(F(x^d)))^2 for key difference d >= 1;
-    values[0] is unused and fixed at 0.  The (real-valued) confusion
-    coefficient for difference d is values[d] / 2^n.
-    """
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class CcvKey:
     """Exact integer surrogate that orders S-boxes identically to CCV.
 
     With N = 2^n - 1 nonzero key differences and S the integer profile,
-    key = N * sum(S^2) - sum(S)^2, and CCV = key / (N^2 * 2^(2n)).  Climb
-    comparisons use `key` so acceptance never depends on float rounding.
+    key = N * sum(S^2) - sum(S)^2, and CCV = key / (N^2 * 2^(2n)).  This
+    class is the one place the key and the CCV are formed from the two sums;
+    climb comparisons use `key` so acceptance never depends on float rounding.
     """
 
     n: int
-    count: int
     sum_s: int
     sum_s2: int
-    key: int
+
+    @property
+    def key(self) -> int:
+        """N * sum(S^2) - sum(S)^2, in exact integers."""
+        count = (1 << self.n) - 1
+        return count * self.sum_s2 - self.sum_s * self.sum_s
 
     @property
     def value(self) -> float:
         """CCV as a float."""
-        return self.key / (self.count * self.count * (1 << (2 * self.n)))
+        count = (1 << self.n) - 1
+        return self.key / (count * count * (1 << (2 * self.n)))
 
 
-def kappa_profile(sbox: SBox) -> KappaProfile:
-    """Integer leakage-difference profile over all nonzero key differences.
+def kappa_profile(sbox: SBox) -> np.ndarray:
+    """Integer confusion-coefficient profile under the Hamming-weight leakage,
+    a read-only int64 array of length 2^n.
 
-    With h the Hamming-weight table, sum_x (h(x) - h(x^d))^2 is
+    profile[d] = sum_x (HW(F(x)) - HW(F(x^d)))^2 for key difference d >= 1;
+    profile[0] is 0.  The (real-valued) confusion coefficient for difference
+    d is profile[d] / 2^n.  With h the Hamming-weight table, the sum is
     2 sum_x (h(x)^2 - h(x) h(x^d)) = (A[0] - A[d]) / 2, where A is the
     autocorrelation of the beta = 0 leakage vector u = m - 2h.
+    `ccv_key_from_profile` sums it into a `CcvKey`, which forms the key.
     """
     corr = _leakage_autocorrelation(_spectra(sbox), 0)
-    return KappaProfile(sbox.n, (corr[0] - corr) // 2)
+    profile = (corr[0] - corr) // 2
+    profile.flags.writeable = False
+    return profile
 
 
-def ccv_key_from_profile(profile: KappaProfile) -> CcvKey:
-    """Exact comparison key computed from a profile (arbitrary-precision)."""
-    values = [int(v) for v in profile.values[1:]]
-    count = len(values)
-    sum_s = sum(values)
-    sum_s2 = sum(v * v for v in values)
-    return CcvKey(profile.n, count, sum_s, sum_s2, count * sum_s2 - sum_s * sum_s)
+def ccv_key_from_profile(profile: np.ndarray) -> CcvKey:
+    """Exact comparison key of a profile (arbitrary-precision sums); n is
+    log2 of the profile's length."""
+    values = [int(v) for v in profile[1:]]
+    return CcvKey(profile.size.bit_length() - 1, sum(values), sum(v * v for v in values))
 
 
 def ccv_key(sbox: SBox) -> CcvKey:

@@ -14,6 +14,9 @@ from .rng import RngStream
 # Largest input and output width an SBox accepts.
 MAX_WIDTH = 16
 
+# Entries per line written by serialize_sbox.
+_PER_LINE = 16
+
 
 class SBoxError(ValueError):
     """Base class for S-box validation and parsing failures."""
@@ -102,11 +105,11 @@ def parse_sbox(text: str, n: int, m: int) -> SBox:
     return SBox(n, m, tuple(values))
 
 
-def serialize_sbox(sbox: SBox, per_line: int = 16) -> str:
+def serialize_sbox(sbox: SBox) -> str:
     """Render an S-box in the text format accepted by parse_sbox (decimal)."""
     lines = []
-    for start in range(0, sbox.size, per_line):
-        lines.append(" ".join(str(v) for v in sbox.table[start : start + per_line]))
+    for start in range(0, sbox.size, _PER_LINE):
+        lines.append(" ".join(str(v) for v in sbox.table[start : start + _PER_LINE]))
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,9 @@ int64 bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n, a gain is below
 n^3 16^n.  The last is the largest: exact up to n = 12, over 2^63 at n = 13.
 `check_search_width` checks all three before any work.
 
-Events record (i, j) and the key; replaying the swaps from `initial` gives
+Events record (i, j) and the `CcvKey` after the swap, whose key and CCV are
+formed in `metrics.CcvKey` from the exact sums; the climb only advances
+sum(S^2) by each accepted gain.  Replaying the swaps from `initial` gives
 each incumbent, so the search builds no S-box per climb.
 """
 
@@ -51,7 +53,6 @@ class ClimbEvent:
     climb_index: int
     i: int
     j: int
-    ccv_after: float
     ccv_key_after: CcvKey
 
 
@@ -116,10 +117,9 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
     table = np.asarray(initial.table, dtype=np.int64)
     h = np.bitwise_count(table).astype(np.int64)
     profile = kappa_profile(initial)
-    s = profile.values.copy()
+    s = profile.copy()
     g = _convolve(h, s)
-    start_key = ccv_key_from_profile(profile)
-    count, sum_s, sum_s2 = start_key.count, start_key.sum_s, start_key.sum_s2
+    key = ccv_key_from_profile(profile)
     positions = np.arange(size)
 
     events: list[ClimbEvent] = []
@@ -146,9 +146,8 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
 
                 _swap(h, s, g, i, j)
                 table[i], table[j] = table[j], table[i]
-                sum_s2 += int(gains[first])
-                key_after = CcvKey(n, count, sum_s, sum_s2, count * sum_s2 - sum_s * sum_s)
-                events.append(ClimbEvent(len(events) + 1, i, j, key_after.value, key_after))
+                key = CcvKey(n, key.sum_s, key.sum_s2 + int(gains[first]))
+                events.append(ClimbEvent(len(events) + 1, i, j, key))
                 improved = True
                 j_next = j + 1
 

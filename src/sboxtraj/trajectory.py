@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .metrics import metric_value
 from .rng import SEED_MIXER_ID, RngStream
 from .sbox import SBox, hw_class_shuffle, swap_outputs
-from .search import ls_hwf
+from .search import check_search_width, ls_hwf
 
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
@@ -137,12 +137,24 @@ def _run_trajectory(
         values = [metric_value(s, metric) for s in sample]
         # The sample is CCV-constant by construction, so the mean CCV is the
         # incumbent's value exactly.
-        points.append(TrajectoryPoint(event.climb_index, event.ccv_after, _mean(values)))
+        points.append(TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(values)))
     try:
         r = pearson(points)
     except DegenerateTrajectoryError:
         r = None
     return Trajectory(run_id, tuple(points), r)
+
+
+def check_experiment(n: int, metric: str, runs: int, sample_size: int | None) -> None:
+    """Raise ValueError (SBoxError for the width) unless the experiment can
+    run; it does no work, so callers check before anything is written."""
+    check_search_width(n)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if runs < 2:
+        raise ValueError(f"at least two runs are required, got {runs}")
+    if sample_size is not None and sample_size < 1:
+        raise ValueError(f"sample size must be >= 1, got {sample_size}")
 
 
 def run_experiment(
@@ -159,14 +171,9 @@ def run_experiment(
     Runs are indexed 0..runs-1; a fixed master seed reproduces the summary
     byte-for-byte.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if runs < 2:
-        raise ValueError(f"at least two runs are required, got {runs}")
+    check_experiment(n, metric, runs, sample_size)
     if sample_size is None:
         sample_size = 1 if metric == "rto0" else 30
-    if sample_size < 1:
-        raise ValueError(f"sample size must be >= 1, got {sample_size}")
 
     trajectories = tuple(
         _run_trajectory(n, metric, sample_size, master_seed, run_id)

@@ -197,8 +197,8 @@ def ls_hwf_batched(table, n: int):
     Scans pairs (i, j), j > i, in lexicographic order and accepts the first
     weight-differing swap whose key N sum(S^2) - sum(S)^2 strictly exceeds
     the incumbent's, until a full pass accepts nothing.  Returns (events,
-    evaluations, passes, final table), an event being (i, j, (n, count,
-    sum_s, sum_s2, key)) after the swap.
+    evaluations, passes, final table), an event being (i, j, n, sum_s,
+    sum_s2, key) after the swap.
     """
     size = 1 << n
     table = list(table)
@@ -236,7 +236,7 @@ def ls_hwf_batched(table, n: int):
                 key = count * sum_s2 - sum_s * sum_s
                 table[i], table[j] = table[j], table[i]
                 h[i], h[j] = h[j], h[i]
-                events.append((i, j, (n, count, sum_s, sum_s2, key)))
+                events.append((i, j, n, sum_s, sum_s2, key))
                 improved = True
                 j_next = j + 1
     return events, evaluations, passes, tuple(table)

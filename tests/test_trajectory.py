@@ -220,7 +220,7 @@ class TestRunExperiment:
                 e.climb_index for e in result.events
             ]
             for point, event in zip(trajectory.points, result.events):
-                assert point.mean_ccv == event.ccv_after
+                assert point.mean_ccv == event.ccv_key_after.value
 
     def test_summary_recomputes_from_per_run_values(self):
         summary = run_experiment(n=4, metric="to", runs=5, sample_size=8, master_seed=2)
