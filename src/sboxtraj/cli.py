@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _check_out_file(path: str | None, flag: str) -> None:
+def _check_out_file(path: str | Path | None, flag: str) -> None:
     """Fail before any work when `path` cannot be written as a file."""
     if path is None:
         return
@@ -59,7 +59,7 @@ def cmd_metrics(args) -> int:
         raise CliError(f"cannot read S-box file: {exc}") from None
     sbox = parse_sbox(text, args.n, m)
 
-    names = [t.strip() for t in args.metrics.split(",") if t.strip()]
+    names = list(dict.fromkeys(t.strip() for t in args.metrics.split(",") if t.strip()))
     if not names:
         raise CliError("no metrics requested")
     for name in names:
@@ -147,6 +147,8 @@ def cmd_experiment(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create --out-dir: {exc}") from None
+    for name in ("trajectories.csv", "summary.json"):
+        _check_out_file(out_dir / name, "--out-dir")
 
     summary = run_experiment(
         n=args.n,
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         default="ccv,to,mto0,rto0",
         help=f"comma-separated subset of {','.join(METRIC_NAMES)}; mto and rto "
-        "enumerate 2^(m-1) pre-charges, so at m = 16 they take many minutes",
+        "walk 2^(m-1) pre-charges, so at n = m = 16 each takes about 2.5 minutes",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_metrics)

@@ -18,31 +18,32 @@ sum_x f(x) g(x^a) is the inverse transform of the product of the spectra
 - TO: sum_j W_j^2, the diagonal sum_j C[j, j, a] of the cross-correlation
   spectrum C[i, j, a] = sum_x s_i(x) s_j(x^a);
 - MTO at beta: W_u W_j, the correlation of u with component j;
-- RTO at beta: W_u^2, the autocorrelation A of u, for one beta or for every
-  chunk of pre-charge representatives in the full-beta `rto`;
+- RTO at beta: W_u^2, the autocorrelation A of u;
 - the CCV profile: (A[0] - A) / 2 with A at beta = 0, because u = m - 2 HW
   gives A[0] - A[d] = 4 sum_x (HW(F(x))^2 - HW(F(x)) HW(F(x^d))).
 
 `_fwht_rows` is the only transform kernel, `_correlate` the only inverse and
 `_score` the only map from an integer total to a metric value.  The full
-table C (`cross_correlation_fast`, m^2 inverse rows) is built only inside
-the full-beta `mto`, which contracts it with the signs of each of the 2^(m-1)
-pre-charge representatives; the full-beta `rto` takes W_u^2 in chunks of a
-fixed element budget.  Both full-beta metrics cost 2^(m-1) times a single
-beta, so at m = 16 they take many minutes.  The tests check every metric
-against direct summation.
+table C (`cross_correlation_fast`, m^2 inverse rows) is built only for the
+full-beta `mto` and `rto`.  A beta and its complement score the same, so
+both take their minimum total over one Gray-code walk of the 2^(m-1)
+representatives with the top bit clear (`_precharge_walk`); each step flips
+one sign of inner[j] = sum_i (-1)^b_i C[i, j] in O(m 2^n).  The tests check
+every metric against direct summation.
 
 int64 bounds.  If a row of length 2^n has entries bounded by B, every stage
 of its transform is bounded by 2^n B.  |W_i| <= 2^n and |W_u| <= m 2^n, so
 the worst case of each inverse transform is 8^n for the table, m 8^n for TO
 and MTO (products bounded by m 4^n) and m^2 8^n for RTO and the CCV profile
-(W_u^2 <= m^2 4^n).  At the largest widths, n = m = 16, that is 2^48, 2^52
-and 2^56, all below 2^63.
+(W_u^2 <= m^2 4^n).  In the walk |C| <= 2^n, so |inner| <= m 2^n and
+|sum_j (-1)^b_j inner[j]| <= m^2 2^n.  At n = m = 16, the largest widths,
+that is 2^48, 2^52, 2^56, 2^20 and 2^24, all below 2^63.
 
 `metric_value` is the one map from a metric name to its function, shared by
 the CLI and the experiment driver.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,15 +89,14 @@ def _spectra(sbox: SBox) -> np.ndarray:
     return _fwht_rows(_signs(sbox.table, sbox.m))
 
 
-def _leakage_spectra(spectra: np.ndarray, betas) -> np.ndarray:
-    """W_u of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i, one row per beta of
-    an array."""
-    return _signs(betas, len(spectra)).T @ spectra
+def _leakage_spectra(spectra: np.ndarray, beta: int) -> np.ndarray:
+    """W_u of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i."""
+    return _signs(beta, len(spectra)) @ spectra
 
 
-def _leakage_autocorrelation(spectra: np.ndarray, betas) -> np.ndarray:
-    """A[a] = sum_x u(x) u(x^a), one row per beta of an array."""
-    w_u = _leakage_spectra(spectra, betas)
+def _leakage_autocorrelation(spectra: np.ndarray, beta: int) -> np.ndarray:
+    """A[a] = sum_x u(x) u(x^a) of u = m - 2 HW(F ^ beta)."""
+    w_u = _leakage_spectra(spectra, beta)
     return _correlate(w_u * w_u)
 
 
@@ -208,6 +208,10 @@ def transparency_order(sbox: SBox) -> float:
 
 
 def _check_beta(sbox: SBox, beta: int) -> None:
+    try:
+        beta = operator.index(beta)
+    except TypeError:
+        raise ValueError(f"beta {beta!r} is not an integer") from None
     if not 0 <= beta < (1 << sbox.m):
         raise ValueError(f"beta {beta} does not fit in m={sbox.m} bits")
 
@@ -250,42 +254,33 @@ def rto_beta_zero(sbox: SBox) -> float:
     return rto_beta(sbox, 0)
 
 
-# Entries per chunk of W_u rows in `rto`: 64 KB of int64 per temporary, which
-# measured no slower than larger chunks; from n = 13 a chunk is a single row.
-_RTO_CHUNK_ELEMENTS = 1 << 13
+def _precharge_walk(sbox: SBox):
+    """Yield (signs, inner) for each pre-charge representative, top sign +1:
+    signs[i] = (-1)^b_i and inner[j, a] = sum_i signs[i] C[i, j, a].  Step k
+    flips the sign at the lowest set bit of k (Gray-code order), so each
+    representative comes once; both arrays are updated in place and reused."""
+    c = cross_correlation_fast(sbox)
+    signs = np.ones(sbox.m, dtype=np.int64)
+    inner = c.sum(axis=0)
+    yield signs, inner
+    for k in range(1, 1 << (sbox.m - 1)):
+        bit = (k & -k).bit_length() - 1
+        signs[bit] = -signs[bit]
+        inner += 2 * signs[bit] * c[bit]
+        yield signs, inner
 
 
 def mto(sbox: SBox) -> float:
-    """Full MTO: maximum of mto_beta over all pre-charges.
-
-    beta and its complement give identical values, so only the 2^(m-1)
-    representatives with the top component clear are enumerated.  Each reads
-    the cross-correlation table, built once; x -> m - x/(4^n - 2^n) is
-    decreasing, so the maximum is taken at the smallest integer total.
-    """
-    c = cross_correlation_fast(sbox)
-    total = min(
-        int(np.abs(np.einsum("i,ija->ja", signs, c)[:, 1:]).sum())
-        for signs in _signs(np.arange(1 << (sbox.m - 1)), sbox.m).T
-    )
+    """Full MTO: maximum of mto_beta over all pre-charges, taken at the
+    smallest total of the walk, since the score falls as the total grows."""
+    total = min(int(np.abs(inner[:, 1:]).sum()) for _, inner in _precharge_walk(sbox))
     return _score(sbox, total)
 
 
 def rto(sbox: SBox) -> float:
-    """Full RTO: maximum of rto_beta over complement representatives.
-
-    The leakage autocorrelations of the representatives are taken in chunks
-    of at most _RTO_CHUNK_ELEMENTS entries (one row when a row is larger),
-    all from one set of component spectra.
-    """
-    spectra = _spectra(sbox)
-    betas = np.arange(1 << (sbox.m - 1))
-    step = max(1, _RTO_CHUNK_ELEMENTS // sbox.size)
-    totals = []
-    for start in range(0, betas.size, step):
-        corr = _leakage_autocorrelation(spectra, betas[start : start + step])
-        totals.append(int(np.abs(corr[:, 1:]).sum(axis=1).min()))
-    return _score(sbox, min(totals))
+    """Full RTO: maximum of rto_beta over all pre-charges; A at beta is signs @ inner."""
+    total = min(int(np.abs((s @ inner)[1:]).sum()) for s, inner in _precharge_walk(sbox))
+    return _score(sbox, total)
 
 
 METRIC_NAMES = ("ccv", "to", "mto0", "rto0", "mto", "rto")

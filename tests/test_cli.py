@@ -66,6 +66,14 @@ class TestMetricsCommand:
         assert float(values["to"]) == transparency_order(sbox)
         assert float(values["mto0"]) == mto_beta_zero(sbox)
 
+    def test_repeated_metric_once_in_both_formats(self, identity_file, capsys):
+        argv = ["metrics", "--sbox", str(identity_file), "--n", "2", "--metrics", "to,ccv,to"]
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["metric", "to", "ccv"]
+        assert main(argv + ["--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["to", "ccv"]
+
     def test_constant_sbox(self, tmp_path, capsys):
         path = tmp_path / "const.txt"
         path.write_text("0 0 0 0")
@@ -330,6 +338,15 @@ class TestInputsCheckedFirst:
         argv = ["experiment", "--n", "4", "--metric", "to", "--runs", "2"]
         assert main(argv + ["--out-dir", str(target)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", ["trajectories.csv", "summary.json"])
+    def test_experiment_output_is_a_directory(self, name, tmp_path, capsys, no_search):
+        out = tmp_path / "D"
+        (out / name).mkdir(parents=True)
+        argv = ["experiment", "--n", "4", "--metric", "to", "--runs", "2", "--sample-size", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in out.iterdir()] == [name]
 
     @pytest.mark.parametrize("flag", ["--out", "--emit-climbs"])
     def test_search_output_in_missing_dir(self, flag, tmp_path, capsys, no_search):

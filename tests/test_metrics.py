@@ -21,7 +21,7 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
-from sboxtraj.metrics import _RTO_CHUNK_ELEMENTS, ccv_key_from_profile
+from sboxtraj.metrics import _precharge_walk, ccv_key_from_profile
 from sboxtraj.sbox import MAX_WIDTH, SBoxError
 
 from builders import bijection_and_draws, constant_sbox, identity_sbox
@@ -237,21 +237,19 @@ class TestMtoRto:
         cases = [random_bijective_sbox(4, RngStream(seed, (5,))) for seed in range(6)]
         # m = 1: a single pre-charge representative.
         cases.append(SBox(3, 1, (0, 1, 1, 1, 0, 1, 0, 0)))
-        # rto splits the 2^9 representatives of n = m = 10 into chunks.
-        wide = random_bijective_sbox(10, RngStream(10, (5,)))
-        assert (1 << (wide.m - 1)) * wide.size > _RTO_CHUNK_ELEMENTS
-        cases.append(wide)
+        # The walk over the 2^9 representatives of n = m = 10.
+        cases.append(random_bijective_sbox(10, RngStream(10, (5,))))
         for sbox in cases:
             betas = range(1 << sbox.m)
             assert mto(sbox) == max(mto_beta(sbox, b) for b in betas)
             assert rto(sbox) == max(rto_beta(sbox, b) for b in betas)
 
-    @pytest.mark.parametrize("n,m", [(6, 9), (7, 8), (9, 6), (4, 1), (5, 1), (3, 2), (5, 2)])
+    @pytest.mark.parametrize(
+        "n,m", [(6, 9), (7, 8), (9, 6), (4, 1), (5, 1), (3, 2), (5, 2), (3, 7)]
+    )
     def test_full_beta_equals_oracle_max(self, n, m):
         # Independent of the package's per-beta path: the maximum over every
-        # beta of the reductions of the direct-summation table.  The first
-        # three shapes split the representatives of `rto` into several chunks.
-        assert (1 << (m - 1)) * (1 << n) > _RTO_CHUNK_ELEMENTS or m <= 2
+        # beta of the reductions of the direct-summation table.
         rnd = random.Random(n * 100 + m)
         sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
         table = cross_correlation_naive(sbox)
@@ -259,9 +257,26 @@ class TestMtoRto:
         assert mto(sbox) == max(mto_beta_from_table(table, b) for b in betas)
         assert rto(sbox) == max(rto_beta_from_table(table, b) for b in betas)
 
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3), (3, 5)])
+    def test_precharge_walk_visits_each_representative_once(self, n, m):
+        rnd = random.Random(n * 10 + m)
+        sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
+        table = cross_correlation_naive(sbox)
+        # The walk reuses both arrays, so keep a copy of each step.
+        steps = [(signs.copy(), inner.copy()) for signs, inner in _precharge_walk(sbox)]
+        visited = {tuple(signs.tolist()) for signs, _ in steps}
+        assert len(steps) == len(visited) == 1 << (m - 1)
+        for signs, inner in steps:
+            assert set(signs.tolist()) <= {1, -1} and signs[-1] == 1
+            assert np.array_equal(inner, np.einsum("i,ija->ja", signs, table))
+
     def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            mto_beta(identity_sbox(2), 4)
+        # Out of range, or not an integer at all.
+        for beta in (4, -1, 1.5, 1.0, "1"):
+            with pytest.raises(ValueError):
+                mto_beta(identity_sbox(2), beta)
+            with pytest.raises(ValueError):
+                rto_beta(identity_sbox(2), beta)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_inequalities(self, n):
@@ -316,6 +331,10 @@ class TestSpectralCore:
             "mto": 2**n * w_u * w,
             "rto": 2**n * w_u * w_u,
             "ccv_profile": 2**n * w_u * w_u,
+            # The pre-charge walk: signed sums of m and m^2 table entries,
+            # each bounded by 2^n.
+            "walk_inner": m * w,
+            "walk_autocorrelation": m * m * w,
         }
         assert bounds == {
             "table": 8**n,
@@ -323,6 +342,8 @@ class TestSpectralCore:
             "mto": m * 8**n,
             "rto": m * m * 8**n,
             "ccv_profile": m * m * 8**n,
+            "walk_inner": 2**20,
+            "walk_autocorrelation": 2**24,
         }
         assert bounds["mto"] == 2**52 and bounds["ccv_profile"] == 2**56
         assert all(bound < 2**63 for bound in bounds.values())
