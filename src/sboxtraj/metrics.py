@@ -31,18 +31,22 @@ representatives with the top bit clear (`_precharge_walk`); each step flips
 one sign of inner[j] = sum_i (-1)^b_i C[i, j] in O(m 2^n).  The tests check
 every metric against direct summation.
 
-int64 bounds.  If a row of length 2^n has entries bounded by B, every stage
-of its transform is bounded by 2^n B.  |W_i| <= 2^n and |W_u| <= m 2^n, so
-the worst case of each inverse transform is 8^n for the table, m 8^n for TO
-and MTO (products bounded by m 4^n) and m^2 8^n for RTO and the CCV profile
-(W_u^2 <= m^2 4^n).  In the walk |C| <= 2^n, so |inner| <= m 2^n and
-|sum_j (-1)^b_j inner[j]| <= m^2 2^n.  At n = m = 16, the largest widths,
-that is 2^48, 2^52, 2^56, 2^20 and 2^24, all below 2^63.
+Exactness.  `_fwht_rows` computes in float64, where every partial sum of a
+row's transform is a +-sum of a subset of the row's entries; with integer
+entries nothing rounds while sum |row| < 2^53, and the kernel raises when a
+row reaches it.  The forward transforms have sum |s_i| = 2^n.  Parseval
+(sum_a W_i[a]^2 = 4^n, sum_a W_u[a]^2 <= m^2 4^n) and Cauchy-Schwarz bound
+each inverse row: 4^n for the table, m 4^n for TO and MTO and m^2 4^n for
+RTO and the CCV profile.  At n = m = 16, the largest widths, that is 2^32,
+2^36 and 2^40, all below 2^53, and every int64 product and result is
+smaller still.  In the walk |C| <= 2^n, so |inner| <= m 2^n and
+|sum_j (-1)^b_j inner[j]| <= m^2 2^n: 2^20 and 2^24 in int64.
 
 `metric_value` is the one map from a metric name to its function, shared by
 the CLI and the experiment driver.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -59,23 +63,36 @@ def _signs(values, m: int) -> np.ndarray:
     return 1 - 2 * ((values >> shifts) & 1)
 
 
-def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform along the last axis (natural ordering,
-    unscaled).
+@functools.cache
+def _hadamard(k: int) -> np.ndarray:
+    """The read-only float64 Sylvester Hadamard matrix of order 2^k."""
+    if k == 0:
+        h = np.ones((1, 1))
+    else:
+        half = _hadamard(k - 1)
+        h = np.block([[half, half], [half, -half]])
+    h.flags.writeable = False
+    return h
 
-    Self-inverse up to a factor of the row length; each level updates a copy
-    of the input in place through a view of its butterfly pairs.
+
+def _fwht_rows(mat: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis (natural ordering,
+    unscaled) as a new int64 array, exactly.
+
+    Self-inverse up to a factor of the row length.  A row of length 2^n,
+    reshaped to X of shape (2^(n - lo), 2^lo) with lo = n // 2, transforms to
+    H_(n - lo) X H_lo, two float64 matrix products with Sylvester factors.
+    Raises OverflowError unless every row has sum |row| < 2^53.
     """
-    a = np.array(mat, dtype=np.int64)
-    h = 1
-    while h < a.shape[-1]:
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0], pairs[:, 1]
-        t = x - y
-        x += y
-        y[...] = t
-        h *= 2
-    return a
+    x = np.asarray(mat, dtype=np.float64)
+    # The float64 row sums decide the bound exactly: below 2^53 they are
+    # exact, and rounding, being monotone, keeps a larger sum at least 2^53.
+    if np.abs(x).sum(axis=-1).max() >= 2.0**53:
+        raise OverflowError("a row with sum |row| >= 2^53 has no exact float64 transform")
+    n = x.shape[-1].bit_length() - 1
+    lo = n // 2
+    y = _hadamard(n - lo) @ x.reshape(-1, 1 << (n - lo), 1 << lo) @ _hadamard(lo)
+    return y.astype(np.int64).reshape(x.shape)
 
 
 def _correlate(product: np.ndarray) -> np.ndarray:
@@ -266,7 +283,10 @@ def _precharge_walk(sbox: SBox):
     for k in range(1, 1 << (sbox.m - 1)):
         bit = (k & -k).bit_length() - 1
         signs[bit] = -signs[bit]
-        inner += 2 * signs[bit] * c[bit]
+        # inner += 2 signs[bit] c[bit], in place and without a temporary.
+        step = np.add if signs[bit] > 0 else np.subtract
+        step(inner, c[bit], out=inner)
+        step(inner, c[bit], out=inner)
         yield signs, inner
 
 

@@ -26,10 +26,13 @@ with h and S taken before the swap: O(2^n) per accepted swap, no transform.
 G is built once per search, as the inverse transform `metrics._correlate` of
 the product of the spectra of h and S.
 
-int64 bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n, a gain is below
-8 n^4 4^n + 24 n^4 2^n + 32 n^4, and the one-off transform of G stays below
-n^3 16^n.  The last is the largest: exact up to n = 12, over 2^63 at n = 13.
-`check_search_width` checks all three before any work.
+Bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n and a gain is below
+8 n^4 4^n + 24 n^4 2^n + 32 n^4, both in int64.  The one-off inverse
+transform of G has sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at
+n = 12, below the 2^53 up to which the float64 kernel is exact and which the
+kernel checks itself.  `check_search_width` checks the two int64 bounds and
+n^3 16^n < 2^63, the bound of an int64 radix-2 transform of G, which keeps
+the declared domain at n <= 12, before any work.
 
 Events record (i, j) and the `CcvKey` after the swap, whose key and CCV are
 formed in `metrics.CcvKey` from the exact sums; the climb only advances
@@ -73,7 +76,8 @@ class SearchResult:
 
 
 def _int64_bounds(n: int) -> tuple[int, ...]:
-    """Worst-case magnitudes of the G transform, of G and of a gain at width n."""
+    """Worst-case magnitudes of an int64 radix-2 transform of G (the domain
+    limit), of G and of a gain at width n."""
     return (n**3 * 16**n, n**3 * 4**n, 8 * n**4 * 4**n + 24 * n**4 * 2**n + 32 * n**4)
 
 

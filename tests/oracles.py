@@ -4,10 +4,11 @@ Everything here is written directly from the defining sums, shares no code
 with the package under test, and is kept deliberately naive.  The `*_from_table`
 reductions read TO, MTO and RTO off a cross-correlation table c[i, j, a] and
 end with the same m - total / (4^n - 2^n) as the package, so their floats can
-be compared exactly.  `swap_deltas` scores a swap by updating the profile
-term by term, O(2^n) per candidate; `ccv_incremental` and the climber
-`ls_hwf_batched` are built on it, and the search's closed-form gain and
-O(2^n) update are checked against them.  `hw_class_shuffle_reference`
+be compared exactly.  `walsh_hadamard_direct` is the transform as one
+product with the full sign matrix.  `swap_deltas` scores a swap by updating
+the profile term by term, O(2^n) per candidate; `ccv_incremental` and the
+climber `ls_hwf_batched` are built on it, and the search's closed-form gain
+and O(2^n) update are checked against them.  `hw_class_shuffle_reference`
 states the draw contract of the package's class shuffle on a plain table.
 The frozen AES constants at the bottom were computed with the exact-rational
 version of these oracles before the package was built.
@@ -143,6 +144,16 @@ def rto_beta_direct(table, n: int, m: int, beta: int) -> float:
                 outer += sign * c[i][j][a]
         total += abs(outer)
     return m - total / (size * size - size)
+
+
+def walsh_hadamard_direct(mat) -> np.ndarray:
+    """W[..., a] = sum_x (-1)^HW(a & x) mat[..., x]: one exact int64 product
+    with the full 2^n x 2^n sign matrix, O(4^n) per row."""
+    mat = np.asarray(mat, dtype=np.int64)
+    size = mat.shape[-1]
+    parity = np.array([hw(v) & 1 for v in range(size)], dtype=np.int64)
+    xs = np.arange(size)
+    return mat @ (1 - 2 * parity[xs[:, None] & xs[None, :]])
 
 
 def xor_convolution_direct(h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,8 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
-from sboxtraj.metrics import _precharge_walk, ccv_key_from_profile
+import sboxtraj.metrics as metrics_mod
+from sboxtraj.metrics import _fwht_rows, _precharge_walk, ccv_key_from_profile
 from sboxtraj.sbox import MAX_WIDTH, SBoxError
 
 from builders import bijection_and_draws, constant_sbox, identity_sbox
@@ -44,6 +46,7 @@ from oracles import (
     swap_deltas,
     to_direct,
     to_from_table,
+    walsh_hadamard_direct,
 )
 
 REL = 1e-12
@@ -61,6 +64,52 @@ def core_cases(n):
     for m in (n, 1, min(n + 3, MAX_WIDTH)):
         cases.append(SBox(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n))))
     return cases
+
+
+class TestTransformKernel:
+    """`_fwht_rows` against the direct Hadamard product, for every layout."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_direct_product(self, n):
+        size = 1 << n
+        block = np.random.default_rng(n).integers(-1000, 1001, size=(2, 3, size))
+        cases = [
+            block[0, 0],  # 1-D
+            block[0],  # 2-D
+            block,  # 3-D
+            np.asfortranarray(block[0]),
+            np.asfortranarray(block),
+            np.ascontiguousarray(block[0].T).T,  # a transposed view
+            block[..., ::-1],  # negative strides
+        ]
+        for mat in cases:
+            before = mat.copy()
+            got = _fwht_rows(mat)
+            assert got.dtype == np.int64 and got.shape == mat.shape
+            assert np.array_equal(got, walsh_hadamard_direct(mat))
+            assert np.array_equal(mat, before)
+
+    def test_exact_just_below_float64_bound(self):
+        # sum |row| = 2^53 - 1; the odd results near 2^53 would round if
+        # any partial sum did.
+        row = np.array([2**52 - 1, 2**52, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        want = walsh_hadamard_direct(row)
+        assert int(np.abs(want).max()) == 2**53 - 1
+        assert np.array_equal(_fwht_rows(row), want)
+        # Each row is checked alone: two rows under the bound are exact even
+        # though their total is not.
+        rows = np.stack((row, -row[::-1]))
+        assert np.array_equal(_fwht_rows(rows), walsh_hadamard_direct(rows))
+
+    def test_raises_at_float64_bound(self):
+        row = np.array([2**52, -(2**51), 2**51, 0], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            _fwht_rows(row)
+        # One row at the bound is enough.
+        with pytest.raises(OverflowError):
+            _fwht_rows(np.stack((np.ones(4, dtype=np.int64), row)))
+        with pytest.raises(OverflowError):
+            _fwht_rows(np.array([2**62, 0], dtype=np.int64))
 
 
 class TestKappaProfile:
@@ -314,39 +363,70 @@ class TestSpectralCore:
     def test_table_and_core_agree_n12(self):
         self.assert_paths_agree(random_bijective_sbox(12, RngStream(12)))
 
-    def test_int64_bounds_at_largest_widths(self):
-        # Worst-case |entry| of each int64 path, as derived in the metrics
+    def test_kernel_bounds_at_largest_widths(self):
+        # The largest sum |row| of each transform, as derived in the metrics
         # module docstring; MAX_WIDTH is the largest n and m an SBox takes.
         n = m = MAX_WIDTH
         with pytest.raises(SBoxError):
             SBox(MAX_WIDTH + 1, 1, ())
         with pytest.raises(SBoxError):
             SBox(2, MAX_WIDTH + 1, (0, 0, 0, 0))
-        # |W_i| <= 2^n and |W_u| <= m 2^n; an inverse transform of a product
-        # bounded by B stays below 2^n B.
-        w, w_u = 2**n, m * 2**n
+        # Parseval: sum_a W_i^2 = 4^n and sum_a W_u^2 <= m^2 4^n; by
+        # Cauchy-Schwarz sum_a |W_f W_g| <= sqrt(sum W_f^2 sum W_g^2).
+        w2, w_u2 = 4**n, m * m * 4**n
+        # The search's G at its widest n: |W_h|^2 sums to at most n^2 4^n
+        # and |W_S|^2 to n^4 16^n.
+        g = 12
         bounds = {
-            "table": 2**n * w * w,
-            "to": 2**n * m * w * w,
-            "mto": 2**n * w_u * w,
-            "rto": 2**n * w_u * w_u,
-            "ccv_profile": 2**n * w_u * w_u,
-            # The pre-charge walk: signed sums of m and m^2 table entries,
-            # each bounded by 2^n.
-            "walk_inner": m * w,
-            "walk_autocorrelation": m * m * w,
+            "forward": 2**n,
+            "table": math.isqrt(w2 * w2),
+            "to": m * w2,
+            "mto": math.isqrt(w_u2 * w2),
+            "rto": w_u2,
+            "ccv_profile": w_u2,
+            "search_g": math.isqrt(g**2 * 4**g * g**4 * 16**g),
         }
         assert bounds == {
-            "table": 8**n,
-            "to": m * 8**n,
-            "mto": m * 8**n,
-            "rto": m * m * 8**n,
-            "ccv_profile": m * m * 8**n,
-            "walk_inner": 2**20,
-            "walk_autocorrelation": 2**24,
+            "forward": 2**16,
+            "table": 2**32,
+            "to": 2**36,
+            "mto": 2**36,
+            "rto": 2**40,
+            "ccv_profile": 2**40,
+            "search_g": g**3 * 8**g,
         }
-        assert bounds["mto"] == 2**52 and bounds["ccv_profile"] == 2**56
-        assert all(bound < 2**63 for bound in bounds.values())
+        assert all(bound < 2**53 for bound in bounds.values())
+        # The pre-charge walk stays in int64: signed sums of m and m^2 table
+        # entries, each bounded by 2^n.
+        walk = {"walk_inner": m * 2**n, "walk_autocorrelation": m * m * 2**n}
+        assert walk == {"walk_inner": 2**20, "walk_autocorrelation": 2**24}
+        assert all(bound < 2**63 for bound in walk.values())
+
+    def test_largest_width_within_kernel_bound(self, monkeypatch):
+        # Each metric is one forward and one inverse transform.  A constant
+        # table has W_u[0] = m 2^n, the Parseval extreme, so its inverse rows
+        # reach the docstring's bounds exactly.
+        n = m = MAX_WIDTH
+        row_sums = []
+
+        def recording(mat):
+            row_sums.append(int(np.abs(np.asarray(mat)).sum(axis=-1).max()))
+            return _fwht_rows(mat)
+
+        monkeypatch.setattr(metrics_mod, "_fwht_rows", recording)
+        metrics = (ccv, transparency_order, mto_beta_zero, rto_beta_zero)
+        inverse_bounds = [m * m * 4**n, m * 4**n, m * 4**n, m * m * 4**n]
+        assert max(inverse_bounds) == 2**40
+
+        assert [f(constant_sbox(n, m, 0)) for f in metrics] == [0.0, 0.0, m - m * m, m - m * m]
+        assert row_sums[0::2] == [2**n] * 4
+        assert row_sums[1::2] == inverse_bounds
+
+        row_sums.clear()
+        ccv_v, to_v, mto0, rto0 = (f(random_bijective_sbox(n, RngStream(16))) for f in metrics)
+        assert ccv_v > 0 and 0 <= to_v <= n and mto0 <= rto0 <= n
+        assert row_sums[0::2] == [2**n] * 4
+        assert all(s <= b for s, b in zip(row_sums[1::2], inverse_bounds))
 
 
 class TestCcvIncremental:
