@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRELIABLE = 2
 
+# The header of trajectories.csv, written by `experiment`, read by `export-plot`.
+TRAJECTORY_FIELDS = ["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"]
+
 
 class CliError(Exception):
     """Bad flags or inputs; reported on stderr and mapped to exit code 1."""
@@ -100,7 +103,7 @@ def cmd_search(args) -> int:
 def _write_trajectories_csv(path: Path, summary: ExperimentSummary) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"])
+        writer.writerow(TRAJECTORY_FIELDS)
         for trajectory in summary.trajectories:
             if trajectory.pearson_r is None:
                 continue
@@ -182,7 +185,7 @@ def cmd_export_plot(args) -> int:
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {src}: {exc}") from None
-    if header != ["run_id", "climb_index", "mean_ccv", "mean_metric", "metric"]:
+    if header != TRAJECTORY_FIELDS:
         raise CliError(f"unexpected header in {src}")
     for line_no, row in enumerate(rows, 2):
         if len(row) != len(header):

@@ -42,8 +42,8 @@ RTO and the CCV profile.  At n = m = 16, the largest widths, that is 2^32,
 smaller still.  In the walk |C| <= 2^n, so |inner| <= m 2^n and
 |sum_j (-1)^b_j inner[j]| <= m^2 2^n: 2^20 and 2^24 in int64.
 
-`metric_value` is the one map from a metric name to its function, shared by
-the CLI and the experiment driver.
+`_METRICS` is the one map from a metric name to its function; the CLI and the
+experiment driver evaluate it through `metric_value`.
 """
 
 import functools
@@ -303,25 +303,21 @@ def rto(sbox: SBox) -> float:
     return _score(sbox, total)
 
 
-METRIC_NAMES = ("ccv", "to", "mto0", "rto0", "mto", "rto")
+# Each lambda looks its function up at call time, so a wrapper installed on a
+# module attribute sees every evaluation.
+_METRICS = {
+    "ccv": lambda sbox: ccv(sbox),
+    "to": lambda sbox: transparency_order(sbox),
+    "mto0": lambda sbox: mto_beta_zero(sbox),
+    "rto0": lambda sbox: rto_beta_zero(sbox),
+    "mto": lambda sbox: mto(sbox),
+    "rto": lambda sbox: rto(sbox),
+}
+METRIC_NAMES = tuple(_METRICS)
 
 
 def metric_value(sbox: SBox, name: str) -> float:
-    """Evaluate the metric called `name`.
-
-    The names resolve to this module's functions at call time, so a wrapper
-    installed on a module attribute sees every evaluation.
-    """
-    if name == "ccv":
-        return ccv(sbox)
-    if name == "to":
-        return transparency_order(sbox)
-    if name == "mto0":
-        return mto_beta_zero(sbox)
-    if name == "rto0":
-        return rto_beta_zero(sbox)
-    if name == "mto":
-        return mto(sbox)
-    if name == "rto":
-        return rto(sbox)
-    raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    """Evaluate the metric called `name`."""
+    if name not in _METRICS:
+        raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    return _METRICS[name](sbox)

@@ -59,12 +59,3 @@ class RngStream:
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
-
-    def permutation(self, size: int) -> list[int]:
-        """A uniformly random permutation of ``range(size)`` (Fisher-Yates)."""
-        items = list(range(size))
-        self._rng.shuffle(items)
-        return items
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, path={self.path})"

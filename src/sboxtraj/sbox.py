@@ -117,7 +117,9 @@ def random_bijective_sbox(n: int, rng: RngStream) -> SBox:
     """A uniformly random n-bit permutation (unbiased Fisher-Yates)."""
     if not 2 <= n <= MAX_WIDTH:
         raise SBoxError(f"input width n={n} outside supported range 2..{MAX_WIDTH}")
-    return SBox(n, n, tuple(rng.permutation(1 << n)))
+    table = list(range(1 << n))
+    rng.shuffle(table)
+    return SBox(n, n, tuple(table))
 
 
 def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:

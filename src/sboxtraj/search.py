@@ -26,13 +26,12 @@ with h and S taken before the swap: O(2^n) per accepted swap, no transform.
 G is built once per search, as the inverse transform `metrics._correlate` of
 the product of the spectra of h and S.
 
-Bounds.  With h <= n and S <= n^2 2^n, G <= n^3 4^n and a gain is below
-8 n^4 4^n + 24 n^4 2^n + 32 n^4, both in int64.  The one-off inverse
-transform of G has sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at
-n = 12, below the 2^53 up to which the float64 kernel is exact and which the
-kernel checks itself.  `check_search_width` checks the two int64 bounds and
-n^3 16^n < 2^63, the bound of an int64 radix-2 transform of G, which keeps
-the declared domain at n <= 12, before any work.
+Bounds.  The search takes n = 2..MAX_SEARCH_WIDTH.  With h <= n and
+S <= n^2 2^n, G <= n^3 4^n and a gain is below
+8 n^4 4^n + 24 n^4 2^n + 32 n^4, both in int64; `check_search_width` checks
+both before any work.  The one-off inverse transform of G has
+sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at n = 12, below the 2^53
+up to which the float64 kernel is exact and which the kernel checks itself.
 
 Events record (i, j) and the `CcvKey` after the swap, whose key and CCV are
 formed in `metrics.CcvKey` from the exact sums; the climb only advances
@@ -46,7 +45,10 @@ import numpy as np
 
 from .metrics import CcvKey, _correlate, _fwht_rows, ccv_key_from_profile, kappa_profile
 from .rng import RngStream
-from .sbox import MAX_WIDTH, SBox, SBoxError, random_bijective_sbox
+from .sbox import SBox, SBoxError, random_bijective_sbox
+
+# Largest input width the search takes.
+MAX_SEARCH_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,16 @@ class SearchResult:
 
 
 def _int64_bounds(n: int) -> tuple[int, ...]:
-    """Worst-case magnitudes of an int64 radix-2 transform of G (the domain
-    limit), of G and of a gain at width n."""
-    return (n**3 * 16**n, n**3 * 4**n, 8 * n**4 * 4**n + 24 * n**4 * 2**n + 32 * n**4)
+    """Worst-case magnitudes of G and of a gain at width n."""
+    return (n**3 * 4**n, 8 * n**4 * 4**n + 24 * n**4 * 2**n + 32 * n**4)
 
 
 def check_search_width(n: int) -> None:
-    """Raise SBoxError unless n is in 2..MAX_WIDTH and every int64 bound holds
-    at n; the range comes first, so no bound is evaluated at a huge n."""
-    if not 2 <= n <= MAX_WIDTH or not all(bound < 2**63 for bound in _int64_bounds(n)):
-        raise SBoxError(f"search supports n in 2..12 (int64-exact kernel), got {n}")
+    """Raise SBoxError unless n is in 2..MAX_SEARCH_WIDTH and every int64
+    bound holds at n; the range comes first, so no bound is evaluated at a
+    huge n."""
+    if not 2 <= n <= MAX_SEARCH_WIDTH or not all(bound < 2**63 for bound in _int64_bounds(n)):
+        raise SBoxError(f"search supports n in 2..{MAX_SEARCH_WIDTH}, got {n}")
 
 
 def _convolve(h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -100,8 +100,8 @@ def pearson(points: list[TrajectoryPoint]) -> float:
         )
     xs = [p.mean_ccv for p in points]
     ys = [p.mean_metric for p in points]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
+    mx = _mean(xs)
+    my = _mean(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     syy = sum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
@@ -116,7 +116,7 @@ def summary_stats(values: list[float]) -> tuple[float, float]:
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise InsufficientDataError(f"need at least two values, got {len(vals)}")
-    mean = sum(vals) / len(vals)
+    mean = _mean(vals)
     var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
     return mean, math.sqrt(var)
 

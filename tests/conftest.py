@@ -14,15 +14,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def bounds_only_in_range(monkeypatch):
     """Fail the test if the search's int64 bounds are evaluated at a width
-    over MAX_WIDTH, where evaluating them costs time and memory that grow
-    with n."""
+    over MAX_SEARCH_WIDTH, where evaluating them costs time and memory that
+    grow with n."""
     import sboxtraj.search as search_mod
-    from sboxtraj.sbox import MAX_WIDTH
 
     bounds = search_mod._int64_bounds
 
     def checked(n):
-        if n > MAX_WIDTH:
+        if n > search_mod.MAX_SEARCH_WIDTH:
             raise AssertionError(f"int64 bounds evaluated at n={n}")
         return bounds(n)
 

@@ -85,9 +85,10 @@ def cell_detail(summary, elapsed):
 
 
 def test_shuffle_invariance():
-    name = "shuffle-invariance: exact CcvKey equality under class shuffles"
     start = time.perf_counter()
-    try:
+    with _report.criterion(
+        "shuffle-invariance: exact CcvKey equality under class shuffles"
+    ) as crit:
         for n in (3, 4, 5, 8):
             for pair in range(100):
                 sbox = random_bijective_sbox(n, RngStream(1000 + n, (pair, 0)))
@@ -95,16 +96,14 @@ def test_shuffle_invariance():
                 assert ccv_key(shuffled) == ccv_key(sbox), f"n={n} pair={pair}"
         elapsed = time.perf_counter() - start
         assert elapsed < 30, f"took {elapsed:.1f}s, limit 30s"
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, f"4 widths x 100 pairs, {time.perf_counter() - start:.1f}s")
+        crit.detail = f"4 widths x 100 pairs, {elapsed:.1f}s"
 
 
 def test_oracle_equivalence_metrics():
-    name = "oracle-equivalence: fast vs naive, full-beta maxima, brute-force CCV"
     start = time.perf_counter()
-    try:
+    with _report.criterion(
+        "oracle-equivalence: fast vs naive, full-beta maxima, brute-force CCV"
+    ) as crit:
         for n in (3, 4, 5):
             for case in range(50):
                 sbox = random_bijective_sbox(n, RngStream(2000 + n, (case,)))
@@ -121,15 +120,11 @@ def test_oracle_equivalence_metrics():
                 )
         elapsed = time.perf_counter() - start
         assert elapsed < 120, f"took {elapsed:.1f}s, limit 120s"
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, f"3 widths x 50 S-boxes, {time.perf_counter() - start:.1f}s")
+        crit.detail = f"3 widths x 50 S-boxes, {elapsed:.1f}s"
 
 
 def test_analytic_fixed_points():
-    name = "analytic-fixed-points: constant and identity 2x2 values"
-    try:
+    with _report.criterion("analytic-fixed-points: constant and identity 2x2 values") as crit:
         const = constant_sbox(4, 4, 0)
         assert ccv(const) == 0.0
         assert transparency_order(const) == 0.0
@@ -138,15 +133,11 @@ def test_analytic_fixed_points():
         assert transparency_order(ident) == pytest.approx(4 / 3, rel=1e-12)
         assert mto_beta_zero(ident) == pytest.approx(0.0, abs=1e-12)
         assert rto_beta_zero(ident) == pytest.approx(4 / 3, rel=1e-12)
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, "CCV=0/TO=0 exact; 2/9, 4/3, 0, 4/3 at 1e-12")
+        crit.detail = "CCV=0/TO=0 exact; 2/9, 4/3, 0, 4/3 at 1e-12"
 
 
 def test_metric_inequalities():
-    name = "metric-inequalities: TO/MTO0/RTO0 bounds over random S-boxes"
-    try:
+    with _report.criterion("metric-inequalities: TO/MTO0/RTO0 bounds over random S-boxes") as crit:
         for n in (4, 5, 8):
             for case in range(100):
                 sbox = random_bijective_sbox(n, RngStream(3000 + n, (case,)))
@@ -157,16 +148,14 @@ def test_metric_inequalities():
                 assert mto0 <= rto0 <= n, f"MTO0={mto0} RTO0={rto0} n={n} case={case}"
                 assert mto(sbox) >= mto0
                 assert rto(sbox) >= rto0
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, "3 widths x 100 S-boxes, zero violations")
+        crit.detail = "3 widths x 100 S-boxes, zero violations"
 
 
 def test_search_correctness():
-    name = "search-correctness: 30 runs locally optimal, strict climbs, exact deltas"
     start = time.perf_counter()
-    try:
+    with _report.criterion(
+        "search-correctness: 30 runs locally optimal, strict climbs, exact deltas"
+    ) as crit:
         for run in range(30):
             result = ls_hwf(4, RngStream(4000, (run,)))
             keys = [ccv_key(result.initial).key] + [
@@ -187,68 +176,52 @@ def test_search_correctness():
                     assert cand <= base, f"run={run}: swap ({i},{j}) improves"
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"took {elapsed:.1f}s, limit 60s"
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, f"{time.perf_counter() - start:.1f}s")
+        crit.detail = f"{elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_table1_to_reproduction(experiments, n):
     summary, elapsed = experiments[("to", n)]
     band = EXPERIMENT_CELLS[("to", n)]["band"]
-    name = f"table1-to-{n}x{n}: mean in band {band}"
-    try:
+    with _report.criterion(f"table1-to-{n}x{n}: mean in band {band}") as crit:
         check_band(summary, band)
         limit = 1800 if n == 8 else 300
         assert elapsed < limit, f"took {elapsed:.0f}s, limit {limit}s"
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, cell_detail(summary, elapsed))
+        crit.detail = cell_detail(summary, elapsed)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_table2_mto0_reproduction(experiments, n):
     summary, elapsed = experiments[("mto0", n)]
     band = EXPERIMENT_CELLS[("mto0", n)]["band"]
-    name = f"table2-mto0-{n}x{n}: mean in band {band}"
-    try:
+    with _report.criterion(f"table2-mto0-{n}x{n}: mean in band {band}") as crit:
         check_band(summary, band)
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, cell_detail(summary, elapsed))
+        crit.detail = cell_detail(summary, elapsed)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_table3_rto0_reproduction(experiments, n):
     summary, elapsed = experiments[("rto0", n)]
     band = EXPERIMENT_CELLS[("rto0", n)]["band"]
-    name = f"table3-rto0-{n}x{n}: mean in band {band} (sample size 1)"
-    try:
+    with _report.criterion(f"table3-rto0-{n}x{n}: mean in band {band} (sample size 1)") as crit:
         assert summary.sample_size == 1
         check_band(summary, band)
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, cell_detail(summary, elapsed))
+        crit.detail = cell_detail(summary, elapsed)
 
 
 def test_qualitative_trend(experiments):
-    name = "qualitative-trend: every space/metric correlation mean is negative"
-    try:
+    with _report.criterion(
+        "qualitative-trend: every space/metric correlation mean is negative"
+    ) as crit:
         for (metric, n), (summary, _) in experiments.items():
             assert summary.mean is not None and summary.mean < 0, f"{metric} {n}x{n}"
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, "9/9 cells negative")
+        crit.detail = "9/9 cells negative"
 
 
 def test_determinism_byte_identical_rerun(tmp_path):
-    name = "determinism: identical flags+seed give byte-identical output files"
-    try:
+    with _report.criterion(
+        "determinism: identical flags+seed give byte-identical output files"
+    ) as crit:
         for tag, args in {
             "4x4": ["--n", "4", "--metric", "to", "--runs", "5", "--sample-size", "10"],
             "5x5": ["--n", "5", "--metric", "rto0", "--runs", "4"],
@@ -263,7 +236,4 @@ def test_determinism_byte_identical_rerun(tmp_path):
                 assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes(), (
                     f"{tag}: {fname} differs"
                 )
-    except AssertionError as exc:
-        _report.record(name, False, str(exc))
-        raise
-    _report.record(name, True, "two configs, both files byte-equal")
+        crit.detail = "two configs, both files byte-equal"

@@ -58,10 +58,10 @@ class TestLsHwf:
     def test_rejects_bad_width(self):
         with pytest.raises(SBoxError):
             ls_hwf(1, RngStream(0))
-        with pytest.raises(SBoxError):  # past the int64 bound of the G transform
+        with pytest.raises(SBoxError):  # past MAX_SEARCH_WIDTH
             ls_hwf(13, RngStream(0))
 
-    @pytest.mark.parametrize("n", [17, 10**20])
+    @pytest.mark.parametrize("n", [13, 17, 10**20])
     def test_width_range_checked_before_bounds(self, n, bounds_only_in_range):
         with pytest.raises(SBoxError):
             check_search_width(n)
@@ -117,7 +117,7 @@ class TestLsHwf:
         assert result.passes >= 1
         assert result.evaluations > 0
 
-    def test_unsafe_sweep_raises_before_building(self, monkeypatch):
+    def test_failed_int64_bound_raises_before_building(self, monkeypatch):
         import sboxtraj.search as search_mod
 
         def must_not_build(*args):

@@ -143,6 +143,23 @@ class TestMetricValue:
         with pytest.raises(ValueError):
             metric_value(random_bijective_sbox(4, RngStream(2)), "nl")
 
+    def test_functions_looked_up_at_call_time(self, monkeypatch):
+        # A wrapper installed on a module attribute must see every evaluation.
+        import sboxtraj.metrics as metrics_mod
+
+        functions = {
+            "ccv": "ccv",
+            "to": "transparency_order",
+            "mto0": "mto_beta_zero",
+            "rto0": "rto_beta_zero",
+            "mto": "mto",
+            "rto": "rto",
+        }
+        assert tuple(functions) == METRIC_NAMES
+        for k, (name, attr) in enumerate(functions.items()):
+            monkeypatch.setattr(metrics_mod, attr, lambda sbox, k=k: -k)
+            assert metric_value(random_bijective_sbox(4, RngStream(2)), name) == -k
+
 
 class TestPearson:
     def test_exact_anti_linear(self):
@@ -156,8 +173,11 @@ class TestPearson:
             pearson(points([(0, 0)]))
 
     def test_constant_coordinate_degenerate(self):
-        with pytest.raises(DegenerateTrajectoryError):
-            pearson(points([(0, 1), (1, 1), (2, 1)]))
+        # sum([0.1] * 3) / 3 != 0.1: a mean taken by division would leave a
+        # residue and give a spurious r.
+        for y in (1, 0.1):
+            with pytest.raises(DegenerateTrajectoryError):
+                pearson(points([(0, y), (1, y), (2, y)]))
 
     def test_affine_invariance_and_negation(self):
         rng = random.Random(derive_seed(33, ()))
@@ -177,6 +197,7 @@ class TestPearson:
 class TestSummaryStats:
     def test_constant_values(self):
         assert summary_stats([-1, -1, -1]) == (-1, 0)
+        assert summary_stats([0.1, 0.1, 0.1]) == (0.1, 0)
 
     def test_two_values(self):
         mean, std = summary_stats([0, 2])
@@ -205,6 +226,14 @@ class TestRunExperiment:
     def test_rto0_defaults_to_single_member_samples(self):
         summary = run_experiment(n=4, metric="rto0", runs=2, master_seed=4)
         assert summary.sample_size == 1
+
+    def test_constant_metric_run_is_degenerate(self):
+        # Run 1's three points all have mean_metric 1.8666666666666667.
+        summary = run_experiment(n=4, metric="rto0", runs=2, master_seed=0)
+        ys = {p.mean_metric for p in summary.trajectories[1].points}
+        assert len(summary.trajectories[1].points) >= 3 and len(ys) == 1
+        assert summary.degenerate_runs == (1,)
+        assert [run_id for run_id, _ in summary.pearson_by_run] == [0]
 
     def test_mean_ccv_strictly_increasing(self):
         summary = run_experiment(n=4, metric="to", runs=4, sample_size=6, master_seed=9)
