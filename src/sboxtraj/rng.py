@@ -9,6 +9,8 @@ single seed regardless of execution order.
 
 import random
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -59,3 +61,13 @@ class RngStream:
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit Mersenne Twister outputs, in draw order.
+
+        They come from one getrandbits(32 * count), which packs the outputs
+        least-significant first; each is the word a draw of at most 32 bits
+        would shift down, so draws can be replayed from them.
+        """
+        bits = self._rng.getrandbits(32 * count)
+        return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")

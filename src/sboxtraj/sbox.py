@@ -9,6 +9,9 @@ import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .rng import RngStream
 
 # Largest input and output width an SBox accepts.
@@ -16,6 +19,13 @@ MAX_WIDTH = 16
 
 # Entries per line written by serialize_sbox.
 _PER_LINE = 16
+
+# hw_class_shuffle: the words of each lane that one vectorised draw step
+# looks at, and the words drawn per lane and remaining step when a block is
+# drawn.  A draw below b takes 2^k / b words on average (k = b.bit_length()),
+# about 2 ln 2 = 1.39 over a class, so a second block is rare.
+_WINDOW = 8
+_WORDS_PER_STEP = 1.5
 
 
 class SBoxError(ValueError):
@@ -134,22 +144,97 @@ def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
     return SBox(sbox.n, sbox.m, tuple(table))
 
 
-def hw_class_shuffle(sbox: SBox, rng: RngStream) -> SBox:
-    """Re-permute outputs uniformly within each Hamming-weight class.
+def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
+    """Re-permute each S-box's outputs uniformly within its Hamming-weight classes.
 
-    The result F' satisfies HW(F'(x)) = HW(F(x)) for every x, so its
-    confusion-coefficient profile (and CCV) is exactly that of `sbox`.
-    Bijectivity is preserved.  The draws are one rng.shuffle of the outputs
-    of each non-empty class, in ascending weight and, within a class, in
-    ascending position; the result may coincide with the input table.
+    Result k satisfies HW(F'(x)) = HW(F(x)) for every x, F = sboxes[k], so
+    its confusion-coefficient profile (and CCV) is exactly that of F, and
+    bijectivity is preserved.  It is the table that one rngs[k].shuffle of
+    the outputs of each non-empty class of F would give, in ascending weight
+    and, within a class, in ascending position; it may coincide with F.
+
+    Every lane (S-box and its stream) is shuffled at once, so all S-boxes
+    must have the same class sizes, as every bijection of one width has;
+    otherwise ValueError.  Step i = size-1 .. 1 of a class shuffle swaps
+    position i with _randbelow(i + 1), the first unused word w of the stream
+    with w >> (32 - k) < i + 1, k = (i + 1).bit_length(): the draws of
+    random.shuffle, replayed from RngStream.words.  The streams are drawn
+    in blocks, so each is left advanced past the words its shuffles used.
     """
-    classes: list[list[int]] = [[] for _ in range(sbox.m + 1)]
-    for x, v in enumerate(sbox.table):
-        classes[v.bit_count()].append(x)
-    table = list(sbox.table)
-    for positions in filter(None, classes):
-        values = [table[x] for x in positions]
-        rng.shuffle(values)
-        for x, v in zip(positions, values):
-            table[x] = v
-    return SBox(sbox.n, sbox.m, tuple(table))
+    if len(sboxes) != len(rngs):
+        raise ValueError(f"{len(sboxes)} S-boxes but {len(rngs)} streams")
+    if not sboxes:
+        return []
+    if len({sbox.n for sbox in sboxes}) > 1:
+        raise ValueError("the S-boxes must have the same class sizes")
+    # Lanes often share an S-box (the members of one sample), so each
+    # distinct one is converted and sorted once.  Entries fit 16 bits
+    # (MAX_WIDTH).
+    distinct = {id(sbox): sbox for sbox in sboxes}
+    index = {key: k for k, key in enumerate(distinct)}
+    tables = np.array([sbox.table for sbox in distinct.values()], dtype=np.uint16)
+    # Positions by weight, ascending within a weight: every class is one run
+    # of columns of the sorted table.
+    weights = np.bitwise_count(tables)
+    order = np.argsort(weights, axis=1, kind="stable")
+    breaks = np.diff(np.take_along_axis(weights, order, axis=1), axis=1) != 0
+    if (breaks != breaks[0]).any():
+        raise ValueError("the S-boxes must have the same class sizes")
+    bounds = [0, *(np.flatnonzero(breaks[0]) + 1).tolist(), tables.shape[1]]
+    # Every Fisher-Yates step in draw order: (column, class start, bound).
+    steps = [
+        (a + i, a, i + 1) for a, e in zip(bounds, bounds[1:]) for i in range(e - a - 1, 0, -1)
+    ]
+
+    rows = [index[id(sbox)] for sbox in sboxes]
+    # Row t holds column t of each lane's sorted table; column j of lane l is
+    # at flat index j * L + l.
+    values = np.take_along_axis(tables, order, axis=1)[rows].T.copy()
+    flat = values.ravel()
+    lanes = np.arange(len(sboxes))
+
+    def more_words(words, done):
+        block = int((len(steps) - done) * _WORDS_PER_STEP) + _WINDOW
+        drawn = words.shape[1]
+        grown = np.empty((len(rngs), drawn + block), dtype=np.uint32)
+        grown[:, :drawn] = words
+        for lane, rng in enumerate(rngs):
+            grown[lane, drawn:] = rng.words(block)
+        return grown, sliding_window_view(grown, _WINDOW, axis=1)
+
+    words, windows = more_words(np.empty((len(sboxes), 0), dtype=np.uint32), 0)
+    ptr = np.zeros(len(sboxes), dtype=np.int64)  # each lane's next unused word
+    for done, (t, a, b) in enumerate(steps):
+        try:
+            window = windows[lanes, ptr]
+        except IndexError:  # a look-ahead runs past the words drawn
+            words, windows = more_words(words, done)
+            window = windows[lanes, ptr]
+        # w >> shift < b, the test of _randbelow(b), is w < b << shift.
+        shift = 32 - b.bit_length()
+        limit = b << shift
+        first = (window < limit).argmax(axis=1)
+        w = window[lanes, first]
+        ptr += first
+        ptr += 1
+        if w.max() >= limit:
+            for lane in np.flatnonzero(w >= limit):
+                # No word of the look-ahead was accepted: scan on past it.
+                p = int(ptr[lane]) + _WINDOW - 1
+                while True:
+                    if p == words.shape[1]:
+                        words, windows = more_words(words, done)
+                    if words[lane, p] < limit:
+                        break
+                    p += 1
+                w[lane], ptr[lane] = words[lane, p], p + 1
+        j = ((w >> shift) + a) * len(lanes) + lanes
+        held = values[t].copy()
+        values[t] = flat[j]
+        flat[j] = held
+
+    column = np.argsort(order, axis=1)  # of each position, per distinct S-box
+    return [
+        SBox(sbox.n, sbox.m, values[column[row], lane].tolist())
+        for lane, (sbox, row) in enumerate(zip(sboxes, rows))
+    ]

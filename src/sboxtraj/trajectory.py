@@ -11,6 +11,7 @@ climb k with stream (master_seed, (r, k)), sample s drawing from child
 (r, k, s), so results are independent of evaluation order.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,11 @@ from .search import check_search_width, ls_hwf
 
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
+
+# Sample members (lanes) shuffled per sampling call: the climbs of a run are
+# sampled in chunks of _LANES // sample_size incumbents (at least one), which
+# bounds the memory of a call and of the samples held at once.
+_LANES = 256
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -78,18 +84,26 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def sample_equal_ccv(fstar: SBox, size: int, rng: RngStream) -> list[SBox]:
-    """A sample of `size` S-boxes with exactly the CCV of `fstar`.
+def sample_equal_ccv(fstars: list[SBox], size: int, rngs: list[RngStream]) -> list[list[SBox]]:
+    """One sample of `size` S-boxes with exactly the CCV of each of `fstars`.
 
-    Members are independent weight-class shuffles (sample s draws from
-    rng.child(s)); duplicates are permitted.  A size-1 sample is `fstar`
-    itself, matching the revised-transparency-order protocol.
+    Member s of sample k is an independent weight-class shuffle of fstars[k]
+    drawn from rngs[k].child(s); duplicates are permitted.  Every member is
+    one lane of a single hw_class_shuffle call, so the S-boxes must have the
+    same class sizes.  A size-1 sample is the S-box itself, matching the
+    revised-transparency-order protocol.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
+    if len(fstars) != len(rngs):
+        raise ValueError(f"{len(fstars)} S-boxes but {len(rngs)} streams")
     if size == 1:
-        return [fstar]
-    return [hw_class_shuffle(fstar, rng.child(s)) for s in range(size)]
+        return [[fstar] for fstar in fstars]
+    members = hw_class_shuffle(
+        [fstar for fstar in fstars for _ in range(size)],
+        [rng.child(s) for rng in rngs for s in range(size)],
+    )
+    return [members[k : k + size] for k in range(0, len(members), size)]
 
 
 def pearson(points: list[TrajectoryPoint]) -> float:
@@ -125,19 +139,24 @@ def _run_trajectory(
     n: int, metric: str, sample_size: int, master_seed: int, run_id: int
 ) -> Trajectory:
     result = ls_hwf(n, RngStream(master_seed, (run_id,)))
+    incumbents = itertools.accumulate(
+        result.events, lambda sbox, e: swap_outputs(sbox, e.i, e.j), initial=result.initial
+    )
+    next(incumbents)  # the initial S-box, before the first climb
     points = []
-    incumbent = result.initial
-    for event in result.events:
-        incumbent = swap_outputs(incumbent, event.i, event.j)
-        sample = sample_equal_ccv(
-            incumbent,
-            sample_size,
-            RngStream(master_seed, (run_id, event.climb_index)),
-        )
-        values = [metric_value(s, metric) for s in sample]
-        # The sample is CCV-constant by construction, so the mean CCV is the
-        # incumbent's value exactly.
-        points.append(TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(values)))
+    per_call = max(1, _LANES // sample_size)
+    for start in range(0, len(result.events), per_call):
+        events = result.events[start : start + per_call]
+        fstars = list(itertools.islice(incumbents, len(events)))
+        rngs = [RngStream(master_seed, (run_id, event.climb_index)) for event in events]
+        # Each chunk's samples are released before the next is drawn.
+        for event, sample in zip(events, sample_equal_ccv(fstars, sample_size, rngs)):
+            values = [metric_value(s, metric) for s in sample]
+            # The sample is CCV-constant by construction, so the mean CCV is
+            # the incumbent's value exactly.
+            points.append(
+                TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(values))
+            )
     try:
         r = pearson(points)
     except DegenerateTrajectoryError:

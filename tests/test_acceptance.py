@@ -90,10 +90,11 @@ def test_shuffle_invariance():
         "shuffle-invariance: exact CcvKey equality under class shuffles"
     ) as crit:
         for n in (3, 4, 5, 8):
-            for pair in range(100):
-                sbox = random_bijective_sbox(n, RngStream(1000 + n, (pair, 0)))
-                shuffled = hw_class_shuffle(sbox, RngStream(1000 + n, (pair, 1)))
-                assert ccv_key(shuffled) == ccv_key(sbox), f"n={n} pair={pair}"
+            pairs = range(100)
+            sboxes = [random_bijective_sbox(n, RngStream(1000 + n, (pair, 0))) for pair in pairs]
+            rngs = [RngStream(1000 + n, (pair, 1)) for pair in pairs]
+            for pair, shuffled in enumerate(hw_class_shuffle(sboxes, rngs)):
+                assert ccv_key(shuffled) == ccv_key(sboxes[pair]), f"n={n} pair={pair}"
         elapsed = time.perf_counter() - start
         assert elapsed < 30, f"took {elapsed:.1f}s, limit 30s"
         crit.detail = f"4 widths x 100 pairs, {elapsed:.1f}s"

@@ -124,7 +124,7 @@ class TestKappaProfile:
     def test_invariant_under_class_shuffle(self):
         for seed in range(10):
             sbox = random_bijective_sbox(4, RngStream(seed, (0,)))
-            shuffled = hw_class_shuffle(sbox, RngStream(seed, (1,)))
+            [shuffled] = hw_class_shuffle([sbox], [RngStream(seed, (1,))])
             assert np.array_equal(
                 kappa_profile(sbox), kappa_profile(shuffled)
             )
@@ -491,7 +491,7 @@ class TestShuffleInvariance:
     def test_ccv_exactly_invariant_under_class_shuffle(self, n):
         for seed in range(20):
             sbox = random_bijective_sbox(n, RngStream(seed, (0,)))
-            shuffled = hw_class_shuffle(sbox, RngStream(seed, (1,)))
+            [shuffled] = hw_class_shuffle([sbox], [RngStream(seed, (1,))])
             assert ccv_key(sbox) == ccv_key(shuffled)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -500,7 +500,7 @@ class TestShuffleInvariance:
         # sequence alone, like CCV.
         for seed in range(10):
             sbox = random_bijective_sbox(n, RngStream(seed, (2,)))
-            shuffled = hw_class_shuffle(sbox, RngStream(seed, (3,)))
+            [shuffled] = hw_class_shuffle([sbox], [RngStream(seed, (3,))])
             assert rto_beta_zero(sbox) == rto_beta_zero(shuffled)
 
     def test_consistency_key_vs_profile(self):

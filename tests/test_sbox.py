@@ -16,6 +16,7 @@ from sboxtraj import (
     serialize_sbox,
     swap_outputs,
 )
+import sboxtraj.sbox as sbox_module
 from sboxtraj.rng import derive_seed
 from sboxtraj.sbox import IndexOutOfRangeError
 
@@ -134,6 +135,12 @@ class TestRngStream:
         tables = {random_bijective_sbox(5, RngStream(7, (i,))).table for i in range(20)}
         assert len(tables) == 20
 
+    def test_words_are_the_32_bit_draws_in_order(self):
+        rng = RngStream(3, (1, 2))
+        draws = random.Random(derive_seed(3, (1, 2)))
+        words = [*rng.words(5), *rng.words(0), *rng.words(3)]
+        assert words == [draws.getrandbits(32) for _ in range(8)]
+
     def test_child_extends_path(self):
         root = RngStream(5)
         assert root.child(3, 1).path == (3, 1)
@@ -188,6 +195,29 @@ class TestSwapOutputs:
             swap_outputs(identity_sbox(2), i, j)
 
 
+def assert_draws_match_reference(sboxes, streams):
+    """One hw_class_shuffle call over the lanes equals, lane by lane, the
+    reference shuffle drawn from random.Random on the lane's seed."""
+    shuffled = hw_class_shuffle(sboxes, [RngStream(seed, path) for seed, path in streams])
+    assert len(shuffled) == len(sboxes)
+    for sbox, (seed, path), out in zip(sboxes, streams, shuffled):
+        draws = random.Random(derive_seed(seed, path))
+        assert out.table == tuple(hw_class_shuffle_reference(sbox.table, sbox.m, draws)), path
+        assert (out.n, out.m) == (sbox.n, sbox.m)
+        # Each output stays in its weight class and the outputs are the
+        # input's, so every class is re-permuted in place.
+        assert [hw(v) for v in out.table] == [hw(v) for v in sbox.table]
+        assert sorted(out.table) == sorted(sbox.table)
+
+
+def same_class_sizes(n, m, rnd, rows):
+    """A random n-to-m-bit table and rows - 1 reference class shuffles of it:
+    `rows` S-boxes with the same class sizes, not all of one table."""
+    table = tuple(rnd.randrange(1 << m) for _ in range(1 << n))
+    tables = [table] + [tuple(hw_class_shuffle_reference(table, m, rnd)) for _ in range(rows - 1)]
+    return [SBox(n, m, t) for t in tables]
+
+
 class TestHwClassShuffle:
     def test_identity_n2_two_outcomes(self):
         # Only the weight-1 class {1, 2} can move, giving exactly two
@@ -195,47 +225,98 @@ class TestHwClassShuffle:
         draws = 2000
         rng = RngStream(5)
         seen = {(0, 1, 2, 3): 0, (0, 2, 1, 3): 0}
-        for s in range(draws):
-            table = hw_class_shuffle(identity_sbox(2), rng.child(s)).table
-            seen[table] += 1
+        rngs = [rng.child(s) for s in range(draws)]
+        for sbox in hw_class_shuffle([identity_sbox(2)] * draws, rngs):
+            seen[sbox.table] += 1
         sigma = (draws * 0.25) ** 0.5
         assert abs(seen[(0, 1, 2, 3)] - draws / 2) < 5 * sigma
 
     def test_constant_fixed_point(self):
         sbox = constant_sbox(3, 3, 5)
-        assert hw_class_shuffle(sbox, RngStream(0)) == sbox
+        assert hw_class_shuffle([sbox], [RngStream(0)]) == [sbox]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_preserves_hw_profile_pointwise(self, n):
-        for seed in range(25):
-            sbox = random_bijective_sbox(n, RngStream(seed, (0,)))
-            shuffled = hw_class_shuffle(sbox, RngStream(seed, (1,)))
+        sboxes = [random_bijective_sbox(n, RngStream(seed, (0,))) for seed in range(25)]
+        rngs = [RngStream(seed, (1,)) for seed in range(25)]
+        for sbox, shuffled in zip(sboxes, hw_class_shuffle(sboxes, rngs)):
             assert sorted(shuffled.table) == list(range(sbox.size))
             for x in range(sbox.size):
                 assert hw(shuffled.table[x]) == hw(sbox.table[x])
 
     def test_deterministic(self):
         sbox = random_bijective_sbox(4, RngStream(9))
-        assert hw_class_shuffle(sbox, RngStream(1, (2, 3))) == hw_class_shuffle(
-            sbox, RngStream(1, (2, 3))
+        assert hw_class_shuffle([sbox], [RngStream(1, (2, 3))]) == hw_class_shuffle(
+            [sbox], [RngStream(1, (2, 3))]
         )
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_draws_match_reference(self, n):
-        # Non-bijective tables at m = 1, 2, n, n + 2 and one bijection.
+        # Non-bijective tables at m = 1, 2, n, n + 2 and bijections.  Each
+        # batch has four rows of equal class sizes, five lanes each.
         rnd = random.Random(n)
-        cases = [
-            (m, tuple(rnd.randrange(1 << m) for _ in range(1 << n))) for m in (1, 2, n, n + 2)
-        ]
-        cases.append((n, random_bijective_sbox(n, RngStream(n)).table))
-        for m, table in cases:
-            sbox = SBox(n, m, table)
-            for seed in range(5):
-                path = (n, m, seed)
-                shuffled = hw_class_shuffle(sbox, RngStream(seed, path)).table
-                draws = random.Random(derive_seed(seed, path))
-                assert shuffled == tuple(hw_class_shuffle_reference(table, m, draws))
-                # Each output stays in its weight class and the outputs are
-                # the input's, so every class is re-permuted in place.
-                assert [hw(v) for v in shuffled] == [hw(v) for v in table]
-                assert sorted(shuffled) == sorted(table)
+        batches = [same_class_sizes(n, m, rnd, 4) for m in (1, 2, n, n + 2)]
+        batches.append([random_bijective_sbox(n, RngStream(n + k)) for k in range(4)])
+        for sboxes in batches:
+            m = sboxes[0].m
+            lanes = [(sbox, (seed, (n, m, row, seed)))
+                     for row, sbox in enumerate(sboxes) for seed in range(5)]
+            assert_draws_match_reference(*zip(*lanes))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_more_words_drawn_when_a_lane_runs_short(self, n, monkeypatch):
+        # With no words budgeted per step, each block is one look-ahead
+        # long, so every lane draws many blocks.
+        calls = []
+        words = RngStream.words
+
+        def counted(self, count):
+            calls.append(count)
+            return words(self, count)
+
+        monkeypatch.setattr(sbox_module, "_WORDS_PER_STEP", 0)
+        monkeypatch.setattr(RngStream, "words", counted)
+        rnd = random.Random(100 + n)
+        sboxes = same_class_sizes(n, 3, rnd, 3) * 4
+        assert_draws_match_reference(sboxes, [(n, (len(sboxes), k)) for k in range(len(sboxes))])
+        assert set(calls) == {sbox_module._WINDOW}
+        if n > 2:
+            assert len(calls) > len(sboxes)
+
+    @pytest.mark.parametrize("window,per_step", [(1, 1.5), (2, 1.5), (1, 0)])
+    def test_draws_past_the_look_ahead(self, window, per_step, monkeypatch):
+        # A look-ahead of one or two words is often all rejected, so lanes
+        # finish their steps word by word, and with no words budgeted they
+        # also run out of words there.
+        monkeypatch.setattr(sbox_module, "_WINDOW", window)
+        monkeypatch.setattr(sbox_module, "_WORDS_PER_STEP", per_step)
+        for n, m in ((3, 3), (6, 2), (8, 8)):
+            sboxes = same_class_sizes(n, m, random.Random(n), 2) * 6
+            assert_draws_match_reference(sboxes, [(7, (n, m, k)) for k in range(len(sboxes))])
+
+    @pytest.mark.parametrize(
+        "sboxes",
+        [
+            [identity_sbox(3), constant_sbox(3, 3, 5)],
+            [identity_sbox(3), SBox(3, 3, (0, 1, 2, 3, 4, 5, 6, 6))],
+            [identity_sbox(2), identity_sbox(3)],
+            [SBox(2, 1, (0, 1, 1, 1)), SBox(2, 1, (0, 0, 1, 1))],
+        ],
+        ids=["identity-constant", "one-output-repeated", "different-n", "different-split"],
+    )
+    def test_rejects_different_class_sizes(self, sboxes):
+        with pytest.raises(ValueError, match="class sizes"):
+            hw_class_shuffle(sboxes, [RngStream(0, (k,)) for k in range(len(sboxes))])
+
+    def test_rejects_a_stream_count_that_differs(self):
+        sbox = identity_sbox(3)
+        with pytest.raises(ValueError):
+            hw_class_shuffle([sbox, sbox], [RngStream(0)])
+        with pytest.raises(ValueError):
+            hw_class_shuffle([sbox], [RngStream(0), RngStream(1)])
+        assert hw_class_shuffle([], []) == []
+
+    def test_same_splits_at_different_output_widths(self):
+        # The class sizes are what the lanes must share: (1, 2, 1) here.
+        sboxes = [SBox(2, 2, (0, 1, 2, 3)), SBox(2, 3, (1, 0, 4, 6))]
+        assert_draws_match_reference(sboxes, [(3, (k,)) for k in range(2)])

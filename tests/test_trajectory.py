@@ -10,6 +10,7 @@ from sboxtraj import (
     TrajectoryPoint,
     ccv,
     ccv_key,
+    hw_class_shuffle,
     ls_hwf,
     metric_value,
     mto,
@@ -24,6 +25,7 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
+import sboxtraj.trajectory as trajectory_module
 from sboxtraj.metrics import METRIC_NAMES
 from sboxtraj.rng import derive_seed
 
@@ -43,31 +45,48 @@ def points(pairs):
 class TestSampleEqualCcv:
     def test_all_keys_identical(self):
         fstar = random_bijective_sbox(4, RngStream(8))
-        sample = sample_equal_ccv(fstar, 30, RngStream(8, (0, 1)))
+        [sample] = sample_equal_ccv([fstar], 30, [RngStream(8, (0, 1))])
         want = ccv_key(fstar)
         assert len(sample) == 30
         assert all(ccv_key(s) == want for s in sample)
 
     def test_size_one_is_fstar_itself(self):
-        fstar = random_bijective_sbox(4, RngStream(7))
-        assert sample_equal_ccv(fstar, 1, RngStream(7, (0, 1))) == [fstar]
+        fstars = [random_bijective_sbox(4, RngStream(7, (k,))) for k in range(3)]
+        rngs = [RngStream(7, (0, k)) for k in range(3)]
+        assert sample_equal_ccv(fstars, 1, rngs) == [[fstar] for fstar in fstars]
 
     def test_hw_profile_preserved(self):
         fstar = random_bijective_sbox(5, RngStream(6))
-        for member in sample_equal_ccv(fstar, 10, RngStream(6, (0, 2))):
+        [sample] = sample_equal_ccv([fstar], 10, [RngStream(6, (0, 2))])
+        for member in sample:
             for x in range(fstar.size):
                 assert hw(member.table[x]) == hw(fstar.table[x])
 
     def test_deterministic(self):
         fstar = random_bijective_sbox(4, RngStream(5))
-        a = sample_equal_ccv(fstar, 12, RngStream(5, (1, 4)))
-        b = sample_equal_ccv(fstar, 12, RngStream(5, (1, 4)))
+        a = sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))])
+        b = sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))])
         assert a == b
 
     def test_size_must_be_positive(self):
         fstar = random_bijective_sbox(4, RngStream(5))
         with pytest.raises(ValueError):
-            sample_equal_ccv(fstar, 0, RngStream(5))
+            sample_equal_ccv([fstar], 0, [RngStream(5)])
+
+    def test_one_stream_per_sbox(self):
+        fstar = random_bijective_sbox(4, RngStream(5))
+        with pytest.raises(ValueError):
+            sample_equal_ccv([fstar, fstar], 3, [RngStream(5)])
+
+    def test_member_s_is_a_shuffle_drawn_from_child_s(self):
+        # Samples of several S-boxes in one call are the samples of one call
+        # each, and member s of sample k draws from rngs[k].child(s).
+        fstars = [random_bijective_sbox(5, RngStream(4, (k,))) for k in range(4)]
+        rngs = [RngStream(4, (1, k)) for k in range(4)]
+        samples = sample_equal_ccv(fstars, 6, rngs)
+        assert samples == [sample_equal_ccv([f], 6, [r])[0] for f, r in zip(fstars, rngs)]
+        for fstar, rng, sample in zip(fstars, rngs, samples):
+            assert sample == [hw_class_shuffle([fstar], [rng.child(s)])[0] for s in range(6)]
 
 
 def driver_points(metric, sample_size, master_seed, n=4, runs=2):
@@ -258,6 +277,13 @@ class TestRunExperiment:
         assert summary.mean == mean and summary.std == std
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
+    def test_chunking_is_invisible(self, monkeypatch):
+        # Chunks of one, two and all of a run's incumbents give one summary.
+        want = run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6)
+        for lanes in (1, 7, 14):
+            monkeypatch.setattr(trajectory_module, "_LANES", lanes)
+            assert run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6) == want
+
     def test_trajectory_points_agree_with_public_ops(self):
         # the driver skips the members' CCV keys; rebuilding each point from
         # the public sample and metric operations must give the same point
@@ -267,7 +293,8 @@ class TestRunExperiment:
             sbox = result.initial
             for point, event in zip(trajectory.points, result.events):
                 sbox = swap_outputs(sbox, event.i, event.j)
-                sample = sample_equal_ccv(sbox, 5, RngStream(31, (run_id, event.climb_index)))
+                rng = RngStream(31, (run_id, event.climb_index))
+                [sample] = sample_equal_ccv([sbox], 5, [rng])
                 keys = {ccv_key(s) for s in sample}
                 assert len(keys) == 1
                 values = [metric_value(s, "to") for s in sample]
