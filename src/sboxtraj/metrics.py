@@ -58,8 +58,7 @@ from .sbox import SBox
 def _signs(values, m: int) -> np.ndarray:
     """(-1)^(bit i of v) as int64 for i < m, component i along the first axis:
     shape (m,) + shape(values)."""
-    values = np.asarray(values, dtype=np.int64)
-    shifts = np.arange(m).reshape((m,) + (1,) * values.ndim)
+    shifts = np.arange(m).reshape((m,) + (1,) * np.ndim(values))
     return 1 - 2 * ((values >> shifts) & 1)
 
 

@@ -7,6 +7,7 @@ identical value sequences, which makes whole experiments replayable from a
 single seed regardless of execution order.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -44,16 +45,20 @@ def derive_seed(master_seed: int, path: tuple[int, ...]) -> int:
 class RngStream:
     """A seeded random stream with cheap hierarchical derivation.
 
-    Wraps a ``random.Random`` seeded with ``derive_seed(master_seed, path)``.
-    Streams at distinct paths are statistically independent.  A stream holds
-    mutable generator state, so concurrent tasks must not share one instance;
-    each task derives its own child instead.
+    Wraps a ``random.Random`` seeded with ``derive_seed(master_seed, path)``
+    at the stream's first draw, so a stream used only to derive children
+    never seeds one.  Streams at distinct paths are statistically
+    independent.  A stream holds mutable generator state, so concurrent tasks
+    must not share one instance; each task derives its own child instead.
     """
 
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
         self.master_seed = int(master_seed)
         self.path = tuple(int(p) for p in path)
-        self._rng = random.Random(derive_seed(self.master_seed, self.path))
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(derive_seed(self.master_seed, self.path))
 
     def child(self, *indices: int) -> "RngStream":
         """The stream addressed by this stream's path extended with `indices`."""

@@ -5,7 +5,7 @@ to m output bits.  Everything else in the package (metrics, search,
 experiments) consumes the :class:`SBox` type defined here.
 """
 
-import operator
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -48,41 +48,52 @@ class IndexOutOfRangeError(SBoxError):
     """A position argument is outside the S-box domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SBox:
     """An n-to-m-bit substitution box held as a flat table of 2^n outputs.
 
-    Immutable after construction; all operations return new instances.
+    `table` is a read-only np.uint16 array; S-boxes with equal widths and
+    tables are equal.  Immutable: all operations return new instances.
     Component i of the output is bit i (least-significant bit first).
     """
 
     n: int
     m: int
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_WIDTH:
             raise SBoxError(f"input width n={self.n} outside supported range 2..{MAX_WIDTH}")
         if not 1 <= self.m <= MAX_WIDTH:
             raise SBoxError(f"output width m={self.m} outside supported range 1..{MAX_WIDTH}")
-        # operator.index accepts Python and numpy integers and rejects
-        # floats and strings instead of truncating or parsing them.
-        try:
-            table = tuple(map(operator.index, self.table))
-        except TypeError as exc:
-            raise SBoxError(f"table entries must be integers: {exc}") from None
-        object.__setattr__(self, "table", table)
-        size = 1 << self.n
-        if len(self.table) != size:
-            raise WrongLengthError(
-                f"expected {size} entries for n={self.n}, got {len(self.table)}"
-            )
+        table = np.asarray(self.table)
+        if table.size and table.dtype.kind not in "biu":
+            # numpy holds Python integers past int64 as float64 or objects.
+            table = np.asarray(self.table, dtype=object)
+            try:
+                integral = all(isinstance(v, numbers.Integral) for v in (table.min(), table.max()))
+            except TypeError:  # entries that do not compare, such as None
+                integral = False
+            if not integral:
+                raise SBoxError("table entries must be integers")
+        if table.shape != (self.size,):
+            raise WrongLengthError(f"n={self.n} takes {self.size} entries, got {table.shape}")
         limit = 1 << self.m
-        for x, v in enumerate(self.table):
-            if not 0 <= v < limit:
-                raise ValueOutOfRangeError(
-                    f"entry {v} at position {x} does not fit in m={self.m} bits"
-                )
+        if table.min() < 0 or table.max() >= limit:
+            x = int(np.argmax((table < 0) | (table >= limit)))
+            raise ValueOutOfRangeError(f"table[{x}] = {table[x]} does not fit in m={self.m} bits")
+        if table.dtype == object:  # floats between integers, or mixed numpy integers
+            raise SBoxError("table entries must be integers")
+        table = table.astype(np.uint16)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        same_widths = isinstance(other, SBox) and (self.n, self.m) == (other.n, other.m)
+        return same_widths and np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.table.tobytes()))
 
     @property
     def size(self) -> int:
@@ -112,15 +123,13 @@ def parse_sbox(text: str, n: int, m: int) -> SBox:
             values.append(int(token, 16) if token[:2] in ("0x", "0X") else int(token))
         except ValueError:  # more decimal digits than int() converts
             raise MalformedTokenError(f"token of {len(token)} digits is too long") from None
-    return SBox(n, m, tuple(values))
+    return SBox(n, m, values)
 
 
 def serialize_sbox(sbox: SBox) -> str:
     """Render an S-box in the text format accepted by parse_sbox (decimal)."""
-    lines = []
-    for start in range(0, sbox.size, _PER_LINE):
-        lines.append(" ".join(str(v) for v in sbox.table[start : start + _PER_LINE]))
-    return "\n".join(lines) + "\n"
+    rows = sbox.table.reshape(-1, min(_PER_LINE, sbox.size)).tolist()
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def random_bijective_sbox(n: int, rng: RngStream) -> SBox:
@@ -129,7 +138,7 @@ def random_bijective_sbox(n: int, rng: RngStream) -> SBox:
         raise SBoxError(f"input width n={n} outside supported range 2..{MAX_WIDTH}")
     table = list(range(1 << n))
     rng.shuffle(table)
-    return SBox(n, n, tuple(table))
+    return SBox(n, n, table)
 
 
 def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
@@ -139,9 +148,9 @@ def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
         raise IndexOutOfRangeError(f"positions ({i}, {j}) outside [0, {size})")
     if i == j:
         raise IndexOutOfRangeError("swap positions must differ")
-    table = list(sbox.table)
-    table[i], table[j] = table[j], table[i]
-    return SBox(sbox.n, sbox.m, tuple(table))
+    table = sbox.table.copy()
+    table[[i, j]] = table[[j, i]]
+    return SBox(sbox.n, sbox.m, table)
 
 
 def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
@@ -167,12 +176,7 @@ def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
         return []
     if len({sbox.n for sbox in sboxes}) > 1:
         raise ValueError("the S-boxes must have the same class sizes")
-    # Lanes often share an S-box (the members of one sample), so each
-    # distinct one is converted and sorted once.  Entries fit 16 bits
-    # (MAX_WIDTH).
-    distinct = {id(sbox): sbox for sbox in sboxes}
-    index = {key: k for k, key in enumerate(distinct)}
-    tables = np.array([sbox.table for sbox in distinct.values()], dtype=np.uint16)
+    tables = np.stack([sbox.table for sbox in sboxes])
     # Positions by weight, ascending within a weight: every class is one run
     # of columns of the sorted table.
     weights = np.bitwise_count(tables)
@@ -186,10 +190,9 @@ def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
         (a + i, a, i + 1) for a, e in zip(bounds, bounds[1:]) for i in range(e - a - 1, 0, -1)
     ]
 
-    rows = [index[id(sbox)] for sbox in sboxes]
     # Row t holds column t of each lane's sorted table; column j of lane l is
     # at flat index j * L + l.
-    values = np.take_along_axis(tables, order, axis=1)[rows].T.copy()
+    values = np.take_along_axis(tables, order, axis=1).T.copy()
     flat = values.ravel()
     lanes = np.arange(len(sboxes))
 
@@ -233,8 +236,6 @@ def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
         values[t] = flat[j]
         flat[j] = held
 
-    column = np.argsort(order, axis=1)  # of each position, per distinct S-box
-    return [
-        SBox(sbox.n, sbox.m, values[column[row], lane].tolist())
-        for lane, (sbox, row) in enumerate(zip(sboxes, rows))
-    ]
+    # Each lane's outputs back at their positions, over its input table.
+    np.put_along_axis(tables, order, values.T, axis=1)
+    return [SBox(sbox.n, sbox.m, table) for sbox, table in zip(sboxes, tables)]

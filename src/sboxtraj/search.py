@@ -120,7 +120,7 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
     initial = random_bijective_sbox(n, rng)
     size = 1 << n
 
-    table = np.asarray(initial.table, dtype=np.int64)
+    table = initial.table.copy()
     h = np.bitwise_count(table).astype(np.int64)
     profile = kappa_profile(initial)
     s = profile.copy()
@@ -159,7 +159,7 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
 
     return SearchResult(
         initial=initial,
-        final=SBox(n, n, tuple(table.tolist())),
+        final=SBox(n, n, table),
         events=tuple(events),
         evaluations=evaluations,
         passes=passes,

@@ -11,8 +11,10 @@ climb k with stream (master_seed, (r, k)), sample s drawing from child
 (r, k, s), so results are independent of evaluation order.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .metrics import metric_value
@@ -24,8 +26,9 @@ from .search import check_search_width, ls_hwf
 METRICS = ("to", "mto0", "rto0")
 
 # Sample members (lanes) shuffled per sampling call: the climbs of a run are
-# sampled in chunks of _LANES // sample_size incumbents (at least one), which
-# bounds the memory of a call and of the samples held at once.
+# sampled in chunks of _LANES // sample_size incumbents, and a larger sample
+# in calls of _LANES of its members, which bounds the memory of a call and of
+# the samples held at once.
 _LANES = 256
 
 
@@ -77,15 +80,23 @@ class ExperimentSummary:
     metadata: dict
 
 
+def _sum(values) -> float:
+    # Left to right on every Python: the built-in sum compensates from 3.12 on.
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _mean(values: list[float]) -> float:
     # A constant sequence's mean is the common value, computed exactly.
     if all(v == values[0] for v in values[1:]):
         return values[0]
-    return sum(values) / len(values)
+    return _sum(values) / len(values)
 
 
-def sample_equal_ccv(fstars: list[SBox], size: int, rngs: list[RngStream]) -> list[list[SBox]]:
-    """One sample of `size` S-boxes with exactly the CCV of each of `fstars`.
+def sample_equal_ccv(
+    fstars: list[SBox], size: int, rngs: list[RngStream], members: range | None = None
+) -> list[list[SBox]]:
+    """One sample of `size` S-boxes with exactly the CCV of each of `fstars`,
+    or only its members in `members` (by default all, range(size)).
 
     Member s of sample k is an independent weight-class shuffle of fstars[k]
     drawn from rngs[k].child(s); duplicates are permitted.  Every member is
@@ -97,13 +108,16 @@ def sample_equal_ccv(fstars: list[SBox], size: int, rngs: list[RngStream]) -> li
         raise ValueError(f"sample size must be >= 1, got {size}")
     if len(fstars) != len(rngs):
         raise ValueError(f"{len(fstars)} S-boxes but {len(rngs)} streams")
+    members = range(size) if members is None else members
+    if not members or members[0] not in range(size) or members[-1] not in range(size):
+        raise ValueError(f"{members} is not a non-empty run of the {size} members")
     if size == 1:
         return [[fstar] for fstar in fstars]
-    members = hw_class_shuffle(
-        [fstar for fstar in fstars for _ in range(size)],
-        [rng.child(s) for rng in rngs for s in range(size)],
+    shuffled = hw_class_shuffle(
+        [fstar for fstar in fstars for _ in members],
+        [rng.child(s) for rng in rngs for s in members],
     )
-    return [members[k : k + size] for k in range(0, len(members), size)]
+    return [shuffled[k : k + len(members)] for k in range(0, len(shuffled), len(members))]
 
 
 def pearson(points: list[TrajectoryPoint]) -> float:
@@ -116,11 +130,11 @@ def pearson(points: list[TrajectoryPoint]) -> float:
     ys = [p.mean_metric for p in points]
     mx = _mean(xs)
     my = _mean(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    sxx = _sum((x - mx) ** 2 for x in xs)
+    syy = _sum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateTrajectoryError("a coordinate is constant")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = _sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
@@ -131,7 +145,7 @@ def summary_stats(values: list[float]) -> tuple[float, float]:
     if len(vals) < 2:
         raise InsufficientDataError(f"need at least two values, got {len(vals)}")
     mean = _mean(vals)
-    var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+    var = _sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
     return mean, math.sqrt(var)
 
 
@@ -149,14 +163,19 @@ def _run_trajectory(
         events = result.events[start : start + per_call]
         fstars = list(itertools.islice(incumbents, len(events)))
         rngs = [RngStream(master_seed, (run_id, event.climb_index)) for event in events]
-        # Each chunk's samples are released before the next is drawn.
-        for event, sample in zip(events, sample_equal_ccv(fstars, sample_size, rngs)):
-            values = [metric_value(s, metric) for s in sample]
-            # The sample is CCV-constant by construction, so the mean CCV is
-            # the incumbent's value exactly.
-            points.append(
-                TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(values))
-            )
+        values = [[] for _ in events]
+        # A sample larger than _LANES is drawn _LANES members at a time, and
+        # each call's S-boxes are released before the next is drawn.
+        for first in range(0, sample_size, _LANES):
+            members = range(first, min(first + _LANES, sample_size))
+            for held, sample in zip(values, sample_equal_ccv(fstars, sample_size, rngs, members)):
+                held.extend(metric_value(s, metric) for s in sample)
+        # The sample is CCV-constant by construction, so the mean CCV is the
+        # incumbent's value exactly.
+        points.extend(
+            TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(held))
+            for event, held in zip(events, values)
+        )
     try:
         r = pearson(points)
     except DegenerateTrajectoryError:

@@ -33,11 +33,11 @@ def test_hamming_weight(value, expected):
 class TestParse:
     def test_identity(self):
         sbox = parse_sbox("0 1 2 3", 2, 2)
-        assert sbox.table == (0, 1, 2, 3)
+        assert sbox.table.tolist() == [0, 1, 2, 3]
 
     def test_hex_and_commas(self):
         sbox = parse_sbox("0x0, 0x3,\n 0x1, 0x2", 2, 2)
-        assert sbox.table == (0, 3, 1, 2)
+        assert sbox.table.tolist() == [0, 3, 1, 2]
 
     def test_wrong_length(self):
         with pytest.raises(WrongLengthError):
@@ -76,7 +76,7 @@ class TestParse:
             parse_sbox("0 1 2 3", n, m)
 
     def test_hex_prefix_case_and_leading_zeros(self):
-        assert parse_sbox("0X0 0xF 007 0x0a", 2, 4).table == (0, 15, 7, 10)
+        assert parse_sbox("0X0 0xF 007 0x0a", 2, 4).table.tolist() == [0, 15, 7, 10]
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_serialize_round_trip(self, n):
@@ -95,7 +95,7 @@ class TestSBoxValidation:
 
     def test_non_bijective_flag(self):
         # Non-bijective tables are valid and kept as given.
-        assert SBox(2, 2, (0, 0, 1, 2)).table == (0, 0, 1, 2)
+        assert SBox(2, 2, (0, 0, 1, 2)).table.tolist() == [0, 0, 1, 2]
         assert sorted(constant_sbox(3, 3).table) != list(range(8))
         assert sorted(identity_sbox(3).table) == list(range(8))
 
@@ -103,15 +103,65 @@ class TestSBoxValidation:
         sbox = SBox(3, 2, (0, 1, 2, 3, 3, 2, 1, 0))
         assert sbox.size == 8 and sbox.m == 2
 
-    @pytest.mark.parametrize("table", [(0.9, 1, 2, 3.7), (0, 1, 2, 3.0), ("1", "0", "2", "3")])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (0.9, 1, 2, 3.7),
+            (0, 1, 2, 3.0),
+            (0.5, 1, 2, 300.0),  # a float is not an integer before it is out of range
+            np.array([0.0, 1.0, 2.0, 3.0]),
+            ("1", "0", "2", "3"),
+            (0, 1, 2, None),
+            (0.5, 1, 2, 2**70),
+        ],
+    )
     def test_non_integer_entries_rejected(self, table):
-        with pytest.raises(SBoxError):
+        with pytest.raises(SBoxError) as excinfo:
+            SBox(2, 2, table)
+        assert excinfo.type is SBoxError
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (0, 1, 2, 4),  # 2^m
+            (0, 1, 2, -1),
+            np.array([0, 1, 2, -1], dtype=np.int8),
+            (0, 1, 2, 2**63),  # numpy gives this list float64
+            np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64),
+            (0, 1, 2, 2**70),  # past uint64: numpy gives objects
+            (-(2**70), 1, 2, 3),
+        ],
+    )
+    def test_out_of_range_entries_rejected(self, table):
+        with pytest.raises(ValueOutOfRangeError):
             SBox(2, 2, table)
 
     def test_numpy_integer_entries(self):
         sbox = SBox(2, 2, tuple(np.arange(4, dtype=np.int64)[::-1]))
-        assert sbox.table == (3, 2, 1, 0)
-        assert all(type(v) is int for v in sbox.table)
+        assert sbox.table.tolist() == [3, 2, 1, 0]
+        assert sbox.table.dtype == np.uint16 and not sbox.table.flags.writeable
+
+    def test_equality_and_hash_across_input_types(self):
+        values = [3, 0, 2, 1]
+        sboxes = [
+            SBox(2, 2, values),
+            SBox(2, 2, tuple(values)),
+            SBox(2, 2, np.array(values, dtype=np.int64)),
+            SBox(2, 2, np.array(values, dtype=np.uint16)),
+        ]
+        assert all(s == sboxes[0] and hash(s) == hash(sboxes[0]) for s in sboxes)
+        assert len(set(sboxes)) == 1
+        assert SBox(2, 3, values) != sboxes[0]
+        assert SBox(2, 2, [3, 0, 1, 2]) != sboxes[0]
+        assert sboxes[0] != values
+
+    def test_table_is_read_only_and_owned(self):
+        source = np.array([0, 1, 2, 3])
+        sbox = SBox(2, 2, source)
+        with pytest.raises(ValueError, match="read-only"):
+            sbox.table[0] = 3
+        source[0] = 3
+        assert sbox.table.tolist() == [0, 1, 2, 3]
 
 
 class TestRngStream:
@@ -132,7 +182,7 @@ class TestRngStream:
             assert items_a == items_b
 
     def test_distinct_paths_distinct_sequences(self):
-        tables = {random_bijective_sbox(5, RngStream(7, (i,))).table for i in range(20)}
+        tables = {tuple(random_bijective_sbox(5, RngStream(7, (i,))).table.tolist()) for i in range(20)}
         assert len(tables) == 20
 
     def test_words_are_the_32_bit_draws_in_order(self):
@@ -176,7 +226,7 @@ class TestRandomBijective:
 
 class TestSwapOutputs:
     def test_example(self):
-        assert swap_outputs(identity_sbox(2), 1, 2).table == (0, 2, 1, 3)
+        assert swap_outputs(identity_sbox(2), 1, 2).table.tolist() == [0, 2, 1, 3]
 
     def test_involution(self):
         sbox = random_bijective_sbox(4, RngStream(1))
@@ -184,10 +234,10 @@ class TestSwapOutputs:
 
     def test_source_unchanged_and_bijective(self):
         sbox = random_bijective_sbox(4, RngStream(2))
-        before = sbox.table
+        before = sbox.table.tolist()
         swapped = swap_outputs(sbox, 0, 15)
-        assert sbox.table == before
-        assert sorted(swapped.table) == sorted(before) == list(range(16))
+        assert sbox.table.tolist() == before
+        assert sorted(swapped.table.tolist()) == sorted(before) == list(range(16))
 
     @pytest.mark.parametrize("i,j", [(0, 0), (-1, 2), (0, 4)])
     def test_bad_positions(self, i, j):
@@ -202,7 +252,7 @@ def assert_draws_match_reference(sboxes, streams):
     assert len(shuffled) == len(sboxes)
     for sbox, (seed, path), out in zip(sboxes, streams, shuffled):
         draws = random.Random(derive_seed(seed, path))
-        assert out.table == tuple(hw_class_shuffle_reference(sbox.table, sbox.m, draws)), path
+        assert out.table.tolist() == hw_class_shuffle_reference(sbox.table.tolist(), sbox.m, draws), path
         assert (out.n, out.m) == (sbox.n, sbox.m)
         # Each output stays in its weight class and the outputs are the
         # input's, so every class is re-permuted in place.
@@ -227,7 +277,7 @@ class TestHwClassShuffle:
         seen = {(0, 1, 2, 3): 0, (0, 2, 1, 3): 0}
         rngs = [rng.child(s) for s in range(draws)]
         for sbox in hw_class_shuffle([identity_sbox(2)] * draws, rngs):
-            seen[sbox.table] += 1
+            seen[tuple(sbox.table.tolist())] += 1
         sigma = (draws * 0.25) ** 0.5
         assert abs(seen[(0, 1, 2, 3)] - draws / 2) < 5 * sigma
 

@@ -145,11 +145,11 @@ class TestLsHwf:
     def test_matches_oracle_climber(self, n):
         for seed in range(3):
             result = ls_hwf(n, RngStream(seed, (n,)))
-            events, evaluations, passes, final = ls_hwf_batched(result.initial.table, n)
+            events, evaluations, passes, final = ls_hwf_batched(result.initial.table.tolist(), n)
             got = [(e.i, e.j, e.ccv_key_after) for e in result.events]
             assert [(i, j, k.n, k.sum_s, k.sum_s2, k.key) for i, j, k in got] == events
             assert (result.evaluations, result.passes) == (evaluations, passes)
-            assert result.final.table == final
+            assert tuple(result.final.table.tolist()) == final
 
 
 class TestSwapKernel:

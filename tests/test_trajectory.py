@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -77,6 +80,17 @@ class TestSampleEqualCcv:
         fstar = random_bijective_sbox(4, RngStream(5))
         with pytest.raises(ValueError):
             sample_equal_ccv([fstar, fstar], 3, [RngStream(5)])
+
+    def test_members_are_runs_of_the_whole_sample(self):
+        fstars = [random_bijective_sbox(4, RngStream(3, (k,))) for k in range(2)]
+        rngs = [RngStream(3, (1, k)) for k in range(2)]
+        whole = sample_equal_ccv(fstars, 7, rngs)
+        parts = [sample_equal_ccv(fstars, 7, rngs, range(a, b)) for a, b in ((0, 3), (3, 6), (6, 7))]
+        assert [sum((part[k] for part in parts), []) for k in range(2)] == whole
+        assert sample_equal_ccv(fstars, 1, rngs, range(1)) == [[fstar] for fstar in fstars]
+        for size, members in ((7, range(0)), (7, range(-1, 2)), (7, range(5, 8)), (1, range(1, 2))):
+            with pytest.raises(ValueError):
+                sample_equal_ccv(fstars, size, rngs, members)
 
     def test_member_s_is_a_shuffle_drawn_from_child_s(self):
         # Samples of several S-boxes in one call are the samples of one call
@@ -214,6 +228,13 @@ class TestPearson:
 
 
 class TestSummaryStats:
+    def test_float_sums_run_left_to_right(self):
+        # From Python 3.12 the built-in sum compensates and gives 2.0 here;
+        # the results are pinned to plain left-to-right addition.
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert trajectory_module._sum(values) == 0.0
+        assert summary_stats(values)[0] == 0.0
+
     def test_constant_values(self):
         assert summary_stats([-1, -1, -1]) == (-1, 0)
         assert summary_stats([0.1, 0.1, 0.1]) == (0.1, 0)
@@ -278,11 +299,26 @@ class TestRunExperiment:
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
     def test_chunking_is_invisible(self, monkeypatch):
-        # Chunks of one, two and all of a run's incumbents give one summary.
+        # Calls of one or three members of a sample, or of one, two and all
+        # of a run's incumbents, give one summary.
         want = run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6)
-        for lanes in (1, 7, 14):
+        for lanes in (1, 3, 7, 14):
             monkeypatch.setattr(trajectory_module, "_LANES", lanes)
             assert run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6) == want
+
+    def test_large_sample_memory_is_bounded(self):
+        # A sample of 10 * _LANES members is drawn _LANES members per call,
+        # so the run never holds the streams and S-boxes of the whole sample
+        # (about 9 MB here when drawn in one call).
+        size = 10 * trajectory_module._LANES
+        tracemalloc.start()
+        try:
+            trajectory = trajectory_module._run_trajectory(3, "to", size, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trajectory.points
+        assert peak < 3 * 2**20
 
     def test_trajectory_points_agree_with_public_ops(self):
         # the driver skips the members' CCV keys; rebuilding each point from
@@ -298,6 +334,7 @@ class TestRunExperiment:
                 keys = {ccv_key(s) for s in sample}
                 assert len(keys) == 1
                 values = [metric_value(s, "to") for s in sample]
-                mean = values[0] if len(set(values)) == 1 else sum(values) / len(values)
+                total = functools.reduce(operator.add, values, 0.0)  # left to right
+                mean = values[0] if len(set(values)) == 1 else total / len(values)
                 rebuilt = TrajectoryPoint(event.climb_index, keys.pop().value, mean)
                 assert rebuilt == point
