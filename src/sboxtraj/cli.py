@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         default="ccv,to,mto0,rto0",
         help=f"comma-separated subset of {','.join(METRIC_NAMES)}; mto and rto "
-        "walk 2^(m-1) pre-charges, so at n = m = 16 they took 243 s and 189 s "
-        "on 2 vCPUs with one BLAS thread",
+        "sweep 2^(m-1) pre-charges, so at n = m = 16 the two together took 83 s "
+        "on 2 vCPUs of a Xeon host with one BLAS thread",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_metrics)

@@ -26,10 +26,24 @@ sum_x f(x) g(x^a) is the inverse transform of the product of the spectra
 `_score` the only map from an integer total to a metric value.  The full
 table C (`cross_correlation_fast`, m^2 inverse rows) is built only for the
 full-beta `mto` and `rto`.  A beta and its complement score the same, so
-both take their minimum total over one Gray-code walk of the 2^(m-1)
-representatives with the top bit clear (`_precharge_walk`); each step flips
-one sign of inner[j] = sum_i (-1)^b_i C[i, j] in O(m 2^n).  The tests check
-every metric against direct summation.
+both take their minimum total over the 2^(m-1) representatives with the top
+bit clear, and one sweep (`_precharge_sweep`) yields both: for each
+representative, inner[j] = sum_i (-1)^b_i C[i, j] for MTO and the
+autocorrelation A = sum_j (-1)^b_j inner[j] of u for RTO.  The sweep holds a
+block of 2^L rows, one per setting of the low L signs, with L as large as
+`_SWEEP_ELEMENTS` allows (L = 0 at n = m = 16), and walks the other signs
+in Gray-code order.  Flipping sign k, of value s, adds -2 s C[k] to inner
+and, since C[i, j] = C[j, i], -4 s inner[k] + 4 C[k, k] to A: O(m 2^n) and
+O(2^n) per row and step, with no product by the signs.  Each entry of C is
+a sum of 2^n signs, so even.  A is a multiple of 4: for a != 0, A[a] is
+twice a sum over the 2^(n-1) pairs {x, x^a} of u(x) u(x^a), terms of one
+parity since u = m (mod 2), so an even sum for n >= 2; A[0] = sum u^2 is a
+sum of 2^n odd squares (each 1 mod 8) or of even squares.  So the sweep
+holds inner / 2 and A / 4 exactly, and one flip is a single pass over the
+block.  `_precharge_minima` reduces the sweep to both minimum totals, under
+a one-entry cache keyed on the S-box's value, so `mto` and `rto` of one
+S-box share one table and one sweep.  The tests check every metric against
+direct summation.
 
 Exactness.  `_fwht_rows` computes in float64, where every partial sum of a
 row's transform is a +-sum of a subset of the row's entries; with integer
@@ -39,8 +53,9 @@ row reaches it.  The forward transforms have sum |s_i| = 2^n.  Parseval
 each inverse row: 4^n for the table, m 4^n for TO and MTO and m^2 4^n for
 RTO and the CCV profile.  At n = m = 16, the largest widths, that is 2^32,
 2^36 and 2^40, all below 2^53, and every int64 product and result is
-smaller still.  In the walk |C| <= 2^n, so |inner| <= m 2^n and
-|sum_j (-1)^b_j inner[j]| <= m^2 2^n: 2^20 and 2^24 in int64.
+smaller still.  In the sweep |C| <= 2^n, so |inner| <= m 2^n and
+|A| <= m^2 2^n, 2^20 and 2^24, and a row's total over a and j is below
+m^2 4^n = 2^40: all far inside int64.
 
 `_METRICS` is the one map from a metric name to its function; the CLI and the
 experiment driver evaluate it through `metric_value`.
@@ -53,6 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sbox import SBox
+
+# Largest number of int64 entries in one block of pre-charge rows that
+# `_precharge_sweep` updates together (256 KB): a memory bound.
+_SWEEP_ELEMENTS = 1 << 15
 
 
 def _signs(values, m: int) -> np.ndarray:
@@ -270,36 +289,90 @@ def rto_beta_zero(sbox: SBox) -> float:
     return rto_beta(sbox, 0)
 
 
-def _precharge_walk(sbox: SBox):
-    """Yield (signs, inner) for each pre-charge representative, top sign +1:
-    signs[i] = (-1)^b_i and inner[j, a] = sum_i signs[i] C[i, j, a].  Step k
-    flips the sign at the lowest set bit of k (Gray-code order), so each
-    representative comes once; both arrays are updated in place and reused."""
+def _flip(bit: int, c, signs, half, quarter) -> None:
+    """Flip sign `bit`, which every row of the block shares, in place.
+
+    With s the sign before the flip, inner' = inner - 2 s C[bit] and, as
+    C[i, j] = C[j, i], A' = A - 4 s inner[bit] + 4 C[bit, bit]; in halves
+    and quarters, half' = half - s C[bit] and quarter' = quarter -
+    s (half[bit] + half'[bit]): one pass over the block and two over its
+    rows of A.
+    """
+    before = signs[0, bit]
+    signs[:, bit] = -before
+    step = np.subtract if before > 0 else np.add
+    step(quarter, half[:, bit], out=quarter)
+    step(half, c[bit], out=half)
+    step(quarter, half[:, bit], out=quarter)
+
+
+def _block_bits(sbox: SBox) -> int:
+    """L, the number of low signs one block of the sweep spans: the largest
+    L <= m - 1 with 2^L m 2^n <= _SWEEP_ELEMENTS, else 0."""
+    fit = _SWEEP_ELEMENTS // (sbox.m * sbox.size)
+    return max(0, min(sbox.m - 1, fit.bit_length() - 1))
+
+
+def _precharge_sweep(sbox: SBox):
+    """Yield (signs, half, quarter) blocks that cover each pre-charge
+    representative (top sign +1) once, one per row: signs[r, i] = (-1)^b_i,
+    half[r] = inner / 2 with inner[j, a] = sum_i signs[r, i] C[i, j, a], and
+    quarter[r] = A / 4 with A[a] = sum_j signs[r, j] inner[j, a] the
+    autocorrelation of u.  Both divisions are exact (module docstring).
+
+    The block holds 2^L rows, L = `_block_bits(sbox)`; row r's low L signs
+    are the bits of r, doubled from the all-+1 row.  Step k of the walk then
+    flips, in every row, sign L + (the lowest set bit of k), in Gray-code
+    order.  The arrays are updated in place and reused.
+    """
     c = cross_correlation_fast(sbox)
-    signs = np.ones(sbox.m, dtype=np.int64)
-    inner = c.sum(axis=0)
-    yield signs, inner
-    for k in range(1, 1 << (sbox.m - 1)):
-        bit = (k & -k).bit_length() - 1
-        signs[bit] = -signs[bit]
-        # inner += 2 signs[bit] c[bit], in place and without a temporary.
-        step = np.add if signs[bit] > 0 else np.subtract
-        step(inner, c[bit], out=inner)
-        step(inner, c[bit], out=inner)
-        yield signs, inner
+    m, size = sbox.m, sbox.size
+    low = _block_bits(sbox)
+    signs = np.ones((1 << low, m), dtype=np.int64)
+    half = np.empty((1 << low, m, size), dtype=np.int64)
+    quarter = np.empty((1 << low, size), dtype=np.int64)
+    half[0] = c.sum(axis=0) // 2
+    quarter[0] = half[0].sum(axis=0) // 2
+    for k in range(low):
+        rows = slice(1 << k, 2 << k)
+        for block in (signs, half, quarter):
+            block[rows] = block[: 1 << k]
+        _flip(k, c, signs[rows], half[rows], quarter[rows])
+    yield signs, half, quarter
+    for k in range(1, 1 << (m - 1 - low)):
+        _flip(low + (k & -k).bit_length() - 1, c, signs, half, quarter)
+        yield signs, half, quarter
+
+
+@functools.lru_cache(maxsize=1)
+def _precharge_minima(sbox: SBox) -> tuple[int, int]:
+    """The smallest MTO total and the smallest RTO total over all
+    pre-charges, from one sweep; `mto` and `rto` of one S-box share it."""
+    rows = 1 << _block_bits(sbox)
+    magnitude = np.empty((rows, sbox.m, sbox.size), dtype=np.int64)
+    auto_magnitude = np.empty((rows, sbox.size), dtype=np.int64)
+    # Each row's totals over a != 0 of |half| and |quarter|, by block.
+    totals = np.empty((2, (1 << (sbox.m - 1)) // rows, rows), dtype=np.int64)
+    for k, (_, half, quarter) in enumerate(_precharge_sweep(sbox)):
+        np.abs(half, out=magnitude)
+        np.abs(quarter, out=auto_magnitude)
+        magnitude[:, :, 0] = auto_magnitude[:, 0] = 0
+        magnitude.reshape(rows, -1).sum(axis=1, out=totals[0, k])
+        auto_magnitude.sum(axis=1, out=totals[1, k])
+    mto_half, rto_quarter = totals.min(axis=(1, 2)).tolist()
+    return 2 * mto_half, 4 * rto_quarter
 
 
 def mto(sbox: SBox) -> float:
     """Full MTO: maximum of mto_beta over all pre-charges, taken at the
-    smallest total of the walk, since the score falls as the total grows."""
-    total = min(int(np.abs(inner[:, 1:]).sum()) for _, inner in _precharge_walk(sbox))
-    return _score(sbox, total)
+    smallest total, since the score falls as the total grows."""
+    return _score(sbox, _precharge_minima(sbox)[0])
 
 
 def rto(sbox: SBox) -> float:
-    """Full RTO: maximum of rto_beta over all pre-charges; A at beta is signs @ inner."""
-    total = min(int(np.abs((s @ inner)[1:]).sum()) for s, inner in _precharge_walk(sbox))
-    return _score(sbox, total)
+    """Full RTO: maximum of rto_beta over all pre-charges, taken at the
+    smallest total."""
+    return _score(sbox, _precharge_minima(sbox)[1])
 
 
 # Each lambda looks its function up at call time, so a wrapper installed on a

@@ -5,7 +5,9 @@ to m output bits.  Everything else in the package (metrics, search,
 experiments) consumes the :class:`SBox` type defined here.
 """
 
+import functools
 import numbers
+import platform
 import re
 from dataclasses import dataclass
 
@@ -153,6 +155,34 @@ def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
     return SBox(sbox.n, sbox.m, table)
 
 
+@functools.cache
+def _check_shuffle_replay() -> None:
+    """Raise RuntimeError unless a fixed four-lane class shuffle equals, lane
+    by lane, random.shuffle on the same streams.
+
+    The sampler replays CPython's _randbelow and getrandbits packing, which
+    no interpreter promises to keep; a version that changes them would give
+    different samples without this check, which hw_class_shuffle runs once
+    per process.
+    """
+    sbox = SBox(5, 5, np.arange(32))
+    replayed = _shuffle_classes([sbox] * 4, [RngStream(0, (lane,)) for lane in range(4)])
+    weights = np.bitwise_count(sbox.table)
+    for lane, out in enumerate(replayed):
+        rng = RngStream(0, (lane,))
+        expected = sbox.table.copy()
+        for w in range(sbox.m + 1):
+            positions = np.flatnonzero(weights == w)
+            values = expected[positions].tolist()
+            rng.shuffle(values)
+            expected[positions] = values
+        if not np.array_equal(out.table, expected):
+            raise RuntimeError(
+                f"hw_class_shuffle's replay of random.shuffle does not hold on "
+                f"Python {platform.python_version()}"
+            )
+
+
 def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
     """Re-permute each S-box's outputs uniformly within its Hamming-weight classes.
 
@@ -169,7 +199,15 @@ def hw_class_shuffle(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
     with w >> (32 - k) < i + 1, k = (i + 1).bit_length(): the draws of
     random.shuffle, replayed from RngStream.words.  The streams are drawn
     in blocks, so each is left advanced past the words its shuffles used.
+    The first call in a process checks the replay against random.shuffle
+    and raises RuntimeError if this interpreter draws differently.
     """
+    _check_shuffle_replay()
+    return _shuffle_classes(sboxes, rngs)
+
+
+def _shuffle_classes(sboxes: list[SBox], rngs: list[RngStream]) -> list[SBox]:
+    """hw_class_shuffle without the one-time check of its replay."""
     if len(sboxes) != len(rngs):
         raise ValueError(f"{len(sboxes)} S-boxes but {len(rngs)} streams")
     if not sboxes:

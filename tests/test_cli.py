@@ -6,10 +6,13 @@ import pytest
 
 from sboxtraj import (
     RngStream,
+    SBox,
     ccv,
+    mto,
     mto_beta_zero,
     parse_sbox,
     random_bijective_sbox,
+    rto,
     serialize_sbox,
     transparency_order,
 )
@@ -130,6 +133,21 @@ class TestMetricsCommand:
             main(["metrics", "--sbox", str(identity_file), "--n", "2", "--metrics", "nl"])
             == 1
         )
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # No flag of one in-process call may reach the next.
+        table = [(7 * x) % 8 for x in range(32)]
+        path = tmp_path / "narrow.txt"
+        path.write_text(" ".join(map(str, table)))
+        argv = ["metrics", "--sbox", str(path), "--n", "5", "--metrics", "mto,rto"]
+        narrow, wide = SBox(5, 3, table), SBox(5, 5, table)
+        for _ in range(2):
+            assert main(argv + ["--m", "3", "--format", "csv"]) == 0
+            expected = f"metric,value\nmto,{mto(narrow)!r}\nrto,{rto(narrow)!r}\n"
+            assert capsys.readouterr().out == expected
+            assert main(["metrics", "--n", "5"]) == 1  # no --sbox
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == {"mto": mto(wide), "rto": rto(wide)}
 
     def test_hex_input(self, tmp_path, capsys):
         path = tmp_path / "hex.txt"

@@ -23,7 +23,7 @@ from sboxtraj import (
     transparency_order,
 )
 import sboxtraj.metrics as metrics_mod
-from sboxtraj.metrics import _fwht_rows, _precharge_walk, ccv_key_from_profile
+from sboxtraj.metrics import _fwht_rows, _precharge_minima, _precharge_sweep, ccv_key_from_profile
 from sboxtraj.sbox import MAX_WIDTH, SBoxError
 
 from builders import bijection_and_draws, constant_sbox, identity_sbox
@@ -50,6 +50,10 @@ from oracles import (
 )
 
 REL = 1e-12
+
+# Block budgets of the pre-charge sweep: one row per block, a few rows, and
+# the default.
+SWEEP_BUDGETS = (1, 1 << 9, metrics_mod._SWEEP_ELEMENTS)
 
 
 def aes_sbox():
@@ -286,7 +290,7 @@ class TestMtoRto:
         cases = [random_bijective_sbox(4, RngStream(seed, (5,))) for seed in range(6)]
         # m = 1: a single pre-charge representative.
         cases.append(SBox(3, 1, (0, 1, 1, 1, 0, 1, 0, 0)))
-        # The walk over the 2^9 representatives of n = m = 10.
+        # The sweep over the 2^9 representatives of n = m = 10.
         cases.append(random_bijective_sbox(10, RngStream(10, (5,))))
         for sbox in cases:
             betas = range(1 << sbox.m)
@@ -296,28 +300,42 @@ class TestMtoRto:
     @pytest.mark.parametrize(
         "n,m", [(6, 9), (7, 8), (9, 6), (4, 1), (5, 1), (3, 2), (5, 2), (3, 7)]
     )
-    def test_full_beta_equals_oracle_max(self, n, m):
+    def test_full_beta_equals_oracle_max(self, n, m, monkeypatch):
         # Independent of the package's per-beta path: the maximum over every
-        # beta of the reductions of the direct-summation table.
+        # beta of the reductions of the direct-summation table, at every
+        # block budget of the sweep.
         rnd = random.Random(n * 100 + m)
         sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
         table = cross_correlation_naive(sbox)
         betas = range(1 << m)
-        assert mto(sbox) == max(mto_beta_from_table(table, b) for b in betas)
-        assert rto(sbox) == max(rto_beta_from_table(table, b) for b in betas)
+        expected = (
+            max(mto_beta_from_table(table, b) for b in betas),
+            max(rto_beta_from_table(table, b) for b in betas),
+        )
+        for budget in SWEEP_BUDGETS:
+            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
+            _precharge_minima.cache_clear()  # the cache does not see the budget
+            assert (mto(sbox), rto(sbox)) == expected, budget
 
-    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3), (3, 5)])
-    def test_precharge_walk_visits_each_representative_once(self, n, m):
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3), (3, 5), (4, 7), (6, 9)])
+    def test_precharge_walk_visits_each_representative_once(self, n, m, monkeypatch):
         rnd = random.Random(n * 10 + m)
         sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
         table = cross_correlation_naive(sbox)
-        # The walk reuses both arrays, so keep a copy of each step.
-        steps = [(signs.copy(), inner.copy()) for signs, inner in _precharge_walk(sbox)]
-        visited = {tuple(signs.tolist()) for signs, _ in steps}
-        assert len(steps) == len(visited) == 1 << (m - 1)
-        for signs, inner in steps:
-            assert set(signs.tolist()) <= {1, -1} and signs[-1] == 1
-            assert np.array_equal(inner, np.einsum("i,ija->ja", signs, table))
+        for budget in SWEEP_BUDGETS:
+            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
+            # Rows of 2^L pre-charges, L the largest <= m - 1 that fits the
+            # budget; the sweep reuses its arrays, so keep a copy of each row.
+            low = max(k for k in range(m) if k == 0 or (m << (n + k)) <= budget)
+            blocks = [[row.copy() for row in block] for block in _precharge_sweep(sbox)]
+            assert len(blocks) == 1 << (m - 1 - low)
+            assert all(len(signs) == 1 << low for signs, _, _ in blocks)
+            rows = [row for block in blocks for row in zip(*block)]
+            assert len({tuple(signs.tolist()) for signs, _, _ in rows}) == len(rows)
+            for signs, half, quarter in rows:
+                assert set(signs.tolist()) <= {1, -1} and signs[-1] == 1
+                assert np.array_equal(2 * half, np.einsum("i,ija->ja", signs, table))
+                assert np.array_equal(4 * quarter, np.einsum("i,j,ija->a", signs, signs, table))
 
     def test_beta_out_of_range(self):
         # Out of range, or not an integer at all.
@@ -338,6 +356,48 @@ class TestMtoRto:
             assert mto0 <= rto0 <= n
             assert mto(sbox) >= mto0
             assert rto(sbox) >= rto0
+
+
+class TestPrechargeCache:
+    """`mto` and `rto` share one sweep through a one-entry cache keyed on the
+    S-box's value."""
+
+    @staticmethod
+    def fresh(sbox):
+        values = []
+        for f in (mto, rto):
+            _precharge_minima.cache_clear()
+            values.append(f(sbox))
+        return values
+
+    def test_values_match_fresh_computation(self):
+        sbox = random_bijective_sbox(5, RngStream(1))
+        equal_copy = SBox(5, 5, sbox.table.tolist())
+        wider = SBox(5, 6, sbox.table)  # the same table, another width
+        other = random_bijective_sbox(5, RngStream(2))
+        cases = (sbox, equal_copy, wider, other, sbox)
+        expected = [self.fresh(s) for s in cases]
+        _precharge_minima.cache_clear()
+        for s, values in zip(cases, expected):
+            assert [mto(s), rto(s)] == values
+            assert _precharge_minima.cache_info().currsize <= 1
+        assert expected[0] == expected[1] != expected[3]
+
+    def test_one_table_for_both(self, monkeypatch):
+        calls = []
+
+        def counted(sbox):
+            calls.append(sbox)
+            return cross_correlation_fast(sbox)
+
+        monkeypatch.setattr(metrics_mod, "cross_correlation_fast", counted)
+        _precharge_minima.cache_clear()
+        sbox = random_bijective_sbox(4, RngStream(3))
+        mto(sbox)
+        rto(SBox(4, 4, sbox.table.tolist()))
+        assert len(calls) == 1
+        rto(random_bijective_sbox(4, RngStream(4)))
+        assert len(calls) == 2
 
 
 class TestSpectralCore:
@@ -396,7 +456,7 @@ class TestSpectralCore:
             "search_g": g**3 * 8**g,
         }
         assert all(bound < 2**53 for bound in bounds.values())
-        # The pre-charge walk stays in int64: signed sums of m and m^2 table
+        # The pre-charge sweep stays in int64: signed sums of m and m^2 table
         # entries, each bounded by 2^n.
         walk = {"walk_inner": m * 2**n, "walk_autocorrelation": m * m * 2**n}
         assert walk == {"walk_inner": 2**20, "walk_autocorrelation": 2**24}

@@ -1,3 +1,4 @@
+import platform
 import random
 
 import numpy as np
@@ -365,6 +366,24 @@ class TestHwClassShuffle:
         with pytest.raises(ValueError):
             hw_class_shuffle([sbox], [RngStream(0), RngStream(1)])
         assert hw_class_shuffle([], []) == []
+
+    def test_replay_check_raises_when_random_shuffle_differs(self, monkeypatch):
+        # An interpreter whose random.shuffle draws differently from the
+        # replay, mocked by reversing every shuffle's result.
+        shuffle = random.Random.shuffle
+
+        def reversed_shuffle(self, items):
+            shuffle(self, items)
+            items.reverse()
+
+        sbox_module._check_shuffle_replay.cache_clear()
+        monkeypatch.setattr(random.Random, "shuffle", reversed_shuffle)
+        with pytest.raises(RuntimeError, match=f"Python {platform.python_version()}"):
+            hw_class_shuffle([identity_sbox(3)], [RngStream(0)])
+        monkeypatch.undo()
+        # Nothing was cached, so the next call checks again, and passes.
+        assert hw_class_shuffle([identity_sbox(3)], [RngStream(0)])
+        assert sbox_module._check_shuffle_replay.cache_info().currsize == 1
 
     def test_same_splits_at_different_output_widths(self):
         # The class sizes are what the lanes must share: (1, 2, 1) here.
