@@ -19,7 +19,7 @@ from .metrics import METRIC_NAMES, metric_value
 from .rng import RngStream
 from .sbox import SBoxError, parse_sbox, serialize_sbox
 from .search import ls_hwf
-from .trajectory import ExperimentSummary, check_experiment, run_experiment
+from .trajectory import METRICS, ExperimentSummary, check_experiment, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,15 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _check_out_file(path: str | Path | None, flag: str) -> None:
-    """Fail before any work when `path` cannot be written as a file."""
-    if path is None:
-        return
-    out = Path(path)
-    if not out.parent.is_dir():
-        raise CliError(f"{flag}: directory {out.parent} does not exist")
-    if out.is_dir():
-        raise CliError(f"{flag}: {out} is a directory")
+def _check_out_files(outs: list[tuple[str, str | Path | None]], inputs=()) -> None:
+    """Fail before any work unless each (flag, path) of `outs` with a path
+    names a writable file that no other output or input of the command names."""
+    named = dict.fromkeys((path.resolve() for path in inputs), "an input file")
+    for flag, path in outs:
+        if path is None:
+            continue
+        out = Path(path)
+        if not out.parent.is_dir():
+            raise CliError(f"{flag}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise CliError(f"{flag}: {out} is a directory")
+        key = out.resolve()
+        if key in named:
+            raise CliError(f"{flag}: {out} is {named[key]}")
+        named[key] = f"the {flag} file"
 
 
 def _fmt(value: float) -> str:
@@ -81,8 +88,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_out_file(args.out, "--out")
-    _check_out_file(args.emit_climbs, "--emit-climbs")
+    _check_out_files([("--out", args.out), ("--emit-climbs", args.emit_climbs)])
     result = ls_hwf(args.n, RngStream(args.seed))
     text = serialize_sbox(result.final)
     if args.out:
@@ -150,8 +156,8 @@ def cmd_experiment(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create --out-dir: {exc}") from None
-    for name in ("trajectories.csv", "summary.json"):
-        _check_out_file(out_dir / name, "--out-dir")
+    outs = [("--out-dir", out_dir / name) for name in ("trajectories.csv", "summary.json")]
+    _check_out_files(outs)
 
     summary = run_experiment(
         n=args.n,
@@ -177,7 +183,7 @@ def cmd_export_plot(args) -> int:
     src = Path(args.in_dir) / "trajectories.csv"
     if not src.is_file():
         raise CliError(f"no trajectories.csv in {args.in_dir}")
-    _check_out_file(args.out, "--out")
+    _check_out_files([("--out", args.out)], inputs=[src])
     try:
         with open(src, newline="") as fh:
             reader = csv.reader(fh)
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the trajectory-correlation experiment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--metric", required=True, help="to, mto0 or rto0")
+    p.add_argument("--metric", required=True, help=", ".join(METRICS))
     p.add_argument("--runs", type=int, default=30)
     p.add_argument(
         "--sample-size",

@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .metrics import metric_value
@@ -25,10 +26,8 @@ from .search import check_search_width, ls_hwf
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
 
-# Sample members (lanes) shuffled per sampling call: the climbs of a run are
-# sampled in chunks of _LANES // sample_size incumbents, and a larger sample
-# in calls of _LANES of its members, which bounds the memory of a call and of
-# the samples held at once.
+# Sample members (lanes) per hw_class_shuffle call in sample_equal_ccv, which
+# bounds the memory of a call and of the members held at once.
 _LANES = 256
 
 
@@ -93,31 +92,29 @@ def _mean(values: list[float]) -> float:
 
 
 def sample_equal_ccv(
-    fstars: list[SBox], size: int, rngs: list[RngStream], members: range | None = None
-) -> list[list[SBox]]:
-    """One sample of `size` S-boxes with exactly the CCV of each of `fstars`,
-    or only its members in `members` (by default all, range(size)).
+    fstars: Iterable[SBox], size: int, rngs: Iterable[RngStream]
+) -> Iterator[SBox]:
+    """The members of one sample of `size` S-boxes with exactly the CCV of
+    each of `fstars`, sample by sample, each in member order.
 
-    Member s of sample k is an independent weight-class shuffle of fstars[k]
-    drawn from rngs[k].child(s); duplicates are permitted.  Every member is
-    one lane of a single hw_class_shuffle call, so the S-boxes must have the
-    same class sizes.  A size-1 sample is the S-box itself, matching the
-    revised-transparency-order protocol.
+    Member s of sample k is an independent weight-class shuffle of the k-th
+    S-box, drawn from the k-th stream's child(s); duplicates are permitted.
+    Both inputs are read lazily and must have the same length (ValueError
+    when the members are taken).  Members are shuffled _LANES per call, so
+    the S-boxes must have the same class sizes.  A size-1 sample is the
+    S-box itself, matching the revised-transparency-order protocol.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    if len(fstars) != len(rngs):
-        raise ValueError(f"{len(fstars)} S-boxes but {len(rngs)} streams")
-    members = range(size) if members is None else members
-    if not members or members[0] not in range(size) or members[-1] not in range(size):
-        raise ValueError(f"{members} is not a non-empty run of the {size} members")
+    pairs = zip(fstars, rngs, strict=True)
     if size == 1:
-        return [[fstar] for fstar in fstars]
-    shuffled = hw_class_shuffle(
-        [fstar for fstar in fstars for _ in members],
-        [rng.child(s) for rng in rngs for s in members],
+        return (fstar for fstar, _ in pairs)
+    lanes = ((fstar, rng.child(s)) for fstar, rng in pairs for s in range(size))
+    calls = iter(lambda: list(itertools.islice(lanes, _LANES)), [])
+    return itertools.chain.from_iterable(
+        hw_class_shuffle([fstar for fstar, _ in call], [rng for _, rng in call])
+        for call in calls
     )
-    return [shuffled[k : k + len(members)] for k in range(0, len(shuffled), len(members))]
 
 
 def pearson(points: list[TrajectoryPoint]) -> float:
@@ -157,25 +154,15 @@ def _run_trajectory(
         result.events, lambda sbox, e: swap_outputs(sbox, e.i, e.j), initial=result.initial
     )
     next(incumbents)  # the initial S-box, before the first climb
-    points = []
-    per_call = max(1, _LANES // sample_size)
-    for start in range(0, len(result.events), per_call):
-        events = result.events[start : start + per_call]
-        fstars = list(itertools.islice(incumbents, len(events)))
-        rngs = [RngStream(master_seed, (run_id, event.climb_index)) for event in events]
-        values = [[] for _ in events]
-        # A sample larger than _LANES is drawn _LANES members at a time, and
-        # each call's S-boxes are released before the next is drawn.
-        for first in range(0, sample_size, _LANES):
-            members = range(first, min(first + _LANES, sample_size))
-            for held, sample in zip(values, sample_equal_ccv(fstars, sample_size, rngs, members)):
-                held.extend(metric_value(s, metric) for s in sample)
-        # The sample is CCV-constant by construction, so the mean CCV is the
-        # incumbent's value exactly.
-        points.extend(
-            TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(held))
-            for event, held in zip(events, values)
-        )
+    rngs = (RngStream(master_seed, (run_id, event.climb_index)) for event in result.events)
+    values = (metric_value(s, metric) for s in sample_equal_ccv(incumbents, sample_size, rngs))
+    samples = (list(itertools.islice(values, sample_size)) for _ in result.events)
+    # The sample is CCV-constant by construction, so the mean CCV is the
+    # incumbent's value exactly.
+    points = [
+        TrajectoryPoint(event.climb_index, event.ccv_key_after.value, _mean(sample))
+        for event, sample in zip(result.events, samples)
+    ]
     try:
         r = pearson(points)
     except DegenerateTrajectoryError:

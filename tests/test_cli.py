@@ -379,6 +379,27 @@ class TestInputsCheckedFirst:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_search_out_and_climbs_name_one_file(self, tmp_path, capsys, no_search):
+        final = tmp_path / "final.txt"
+        final.write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "sub" / ".." / "final.txt"
+        argv = ["search", "--n", "4", "--out", str(final), "--emit-climbs", str(same)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --emit-climbs:") and "is the --out file" in err
+        assert final.read_text() == "kept\n"
+
+    def test_export_plot_out_is_its_input(self, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        assert TestExperimentCommand().run_small(exp) == 0
+        before = {p.name: p.read_bytes() for p in exp.iterdir()}
+        argv = ["export-plot", "--in", str(exp), "--out", str(exp / "trajectories.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out:") and "is an input file" in err
+        assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
+
     def test_export_plot_short_row(self, tmp_path, capsys):
         exp = tmp_path / "exp"
         assert TestExperimentCommand().run_small(exp) == 0

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import random
@@ -48,7 +49,7 @@ def points(pairs):
 class TestSampleEqualCcv:
     def test_all_keys_identical(self):
         fstar = random_bijective_sbox(4, RngStream(8))
-        [sample] = sample_equal_ccv([fstar], 30, [RngStream(8, (0, 1))])
+        sample = list(sample_equal_ccv([fstar], 30, [RngStream(8, (0, 1))]))
         want = ccv_key(fstar)
         assert len(sample) == 30
         assert all(ccv_key(s) == want for s in sample)
@@ -56,51 +57,57 @@ class TestSampleEqualCcv:
     def test_size_one_is_fstar_itself(self):
         fstars = [random_bijective_sbox(4, RngStream(7, (k,))) for k in range(3)]
         rngs = [RngStream(7, (0, k)) for k in range(3)]
-        assert sample_equal_ccv(fstars, 1, rngs) == [[fstar] for fstar in fstars]
+        assert list(sample_equal_ccv(fstars, 1, rngs)) == fstars
 
     def test_hw_profile_preserved(self):
         fstar = random_bijective_sbox(5, RngStream(6))
-        [sample] = sample_equal_ccv([fstar], 10, [RngStream(6, (0, 2))])
+        sample = list(sample_equal_ccv([fstar], 10, [RngStream(6, (0, 2))]))
         for member in sample:
             for x in range(fstar.size):
                 assert hw(member.table[x]) == hw(fstar.table[x])
 
     def test_deterministic(self):
         fstar = random_bijective_sbox(4, RngStream(5))
-        a = sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))])
-        b = sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))])
+        a = list(sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))]))
+        b = list(sample_equal_ccv([fstar], 12, [RngStream(5, (1, 4))]))
         assert a == b
 
     def test_size_must_be_positive(self):
+        # Raised by the call itself, before any member is taken.
         fstar = random_bijective_sbox(4, RngStream(5))
         with pytest.raises(ValueError):
             sample_equal_ccv([fstar], 0, [RngStream(5)])
 
     def test_one_stream_per_sbox(self):
+        # Fewer or more streams than S-boxes raise when the members are taken.
         fstar = random_bijective_sbox(4, RngStream(5))
-        with pytest.raises(ValueError):
-            sample_equal_ccv([fstar, fstar], 3, [RngStream(5)])
-
-    def test_members_are_runs_of_the_whole_sample(self):
-        fstars = [random_bijective_sbox(4, RngStream(3, (k,))) for k in range(2)]
-        rngs = [RngStream(3, (1, k)) for k in range(2)]
-        whole = sample_equal_ccv(fstars, 7, rngs)
-        parts = [sample_equal_ccv(fstars, 7, rngs, range(a, b)) for a, b in ((0, 3), (3, 6), (6, 7))]
-        assert [sum((part[k] for part in parts), []) for k in range(2)] == whole
-        assert sample_equal_ccv(fstars, 1, rngs, range(1)) == [[fstar] for fstar in fstars]
-        for size, members in ((7, range(0)), (7, range(-1, 2)), (7, range(5, 8)), (1, range(1, 2))):
+        for size, streams in itertools.product((1, 3), (1, 3)):
+            rngs = [RngStream(5, (k,)) for k in range(streams)]
+            members = sample_equal_ccv([fstar, fstar], size, rngs)
             with pytest.raises(ValueError):
-                sample_equal_ccv(fstars, size, rngs, members)
+                list(members)
+
+    def test_inputs_are_read_lazily(self):
+        # Endless S-boxes and streams: the first members are those of one
+        # call per S-box.
+        fstar = random_bijective_sbox(4, RngStream(2))
+        rngs = (RngStream(2, (k,)) for k in itertools.count())
+        members = list(itertools.islice(sample_equal_ccv(itertools.repeat(fstar), 3, rngs), 7))
+        eager = [list(sample_equal_ccv([fstar], 3, [RngStream(2, (k,))])) for k in range(3)]
+        assert members == (eager[0] + eager[1] + eager[2])[:7]
 
     def test_member_s_is_a_shuffle_drawn_from_child_s(self):
         # Samples of several S-boxes in one call are the samples of one call
         # each, and member s of sample k draws from rngs[k].child(s).
         fstars = [random_bijective_sbox(5, RngStream(4, (k,))) for k in range(4)]
         rngs = [RngStream(4, (1, k)) for k in range(4)]
-        samples = sample_equal_ccv(fstars, 6, rngs)
-        assert samples == [sample_equal_ccv([f], 6, [r])[0] for f, r in zip(fstars, rngs)]
-        for fstar, rng, sample in zip(fstars, rngs, samples):
-            assert sample == [hw_class_shuffle([fstar], [rng.child(s)])[0] for s in range(6)]
+        members = list(sample_equal_ccv(fstars, 6, rngs))
+        assert members == [
+            member for f, r in zip(fstars, rngs) for member in sample_equal_ccv([f], 6, [r])
+        ]
+        for k, (fstar, rng) in enumerate(zip(fstars, rngs)):
+            want = [hw_class_shuffle([fstar], [rng.child(s)])[0] for s in range(6)]
+            assert members[6 * k : 6 * k + 6] == want
 
 
 def driver_points(metric, sample_size, master_seed, n=4, runs=2):
@@ -299,8 +306,8 @@ class TestRunExperiment:
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
     def test_chunking_is_invisible(self, monkeypatch):
-        # Calls of one or three members of a sample, or of one, two and all
-        # of a run's incumbents, give one summary.
+        # Calls of 1, 3, 7 and 14 lanes split samples across calls and mix
+        # incumbents in one call, and give one summary.
         want = run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6)
         for lanes in (1, 3, 7, 14):
             monkeypatch.setattr(trajectory_module, "_LANES", lanes)
@@ -330,7 +337,7 @@ class TestRunExperiment:
             for point, event in zip(trajectory.points, result.events):
                 sbox = swap_outputs(sbox, event.i, event.j)
                 rng = RngStream(31, (run_id, event.climb_index))
-                [sample] = sample_equal_ccv([sbox], 5, [rng])
+                sample = list(sample_equal_ccv([sbox], 5, [rng]))
                 keys = {ccv_key(s) for s in sample}
                 assert len(keys) == 1
                 values = [metric_value(s, "to") for s in sample]
