@@ -183,7 +183,8 @@ def cmd_export_plot(args) -> int:
     src = Path(args.in_dir) / "trajectories.csv"
     if not src.is_file():
         raise CliError(f"no trajectories.csv in {args.in_dir}")
-    _check_out_files([("--out", args.out)], inputs=[src])
+    # Both files of the experiment count as inputs, so --out overwrites neither.
+    _check_out_files([("--out", args.out)], inputs=[src, Path(args.in_dir) / "summary.json"])
     try:
         with open(src, newline="") as fh:
             reader = csv.reader(fh)

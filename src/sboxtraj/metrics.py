@@ -9,7 +9,7 @@ of a pre-charge value beta addresses the same component.
 
 Every metric comes from one representation, the component spectra.  Let
 s_i(x) = (-1)^F_i(x) and W_i its Walsh-Hadamard spectrum (`_spectra`: m
-rows, component-major).  The leakage vector of a pre-charge beta,
+rows on axis -2, component-major).  The leakage vector of a pre-charge beta,
 u(x) = sum_i (-1)^b_i s_i(x) = m - 2 HW(F(x) ^ beta), has by linearity the
 spectrum W_u = sum_i (-1)^b_i W_i (`_leakage_spectra`).  A correlation
 sum_x f(x) g(x^a) is the inverse transform of the product of the spectra
@@ -57,27 +57,45 @@ smaller still.  In the sweep |C| <= 2^n, so |inner| <= m 2^n and
 |A| <= m^2 2^n, 2^20 and 2^24, and a row's total over a and j is below
 m^2 4^n = 2^40: all far inside int64.
 
+Batches.  `transparency_order`, `mto_beta`, `rto_beta` and the two beta = 0
+forms take one S-box or a sequence of S-boxes of one (n, m).  The arrays
+above then carry the members on a leading axis: the spectra of k S-boxes are
+(k, m, 2^n), components on axis -2, and each metric reduces them to k
+totals.  `_stack_scores` scores a sequence in blocks of at most
+`_SWEEP_ELEMENTS` int64 entries (k m 2^n, so 16 S-boxes at n = m = 8),
+which keeps a block's temporaries in cache as the sweep's are; one S-box is
+a block of one through the same code.  The bounds above hold row by row, so
+a stack changes none of them, and each total becomes a Python int before
+`_score`: a value is bit-identical however its S-box was batched.
+
 `_METRICS` is the one map from a metric name to its function; the CLI and the
-experiment driver evaluate it through `metric_value`.
+experiment driver evaluate it through `metric_value`, which takes one S-box
+or a sequence (`ccv`, `mto` and `rto` are mapped over one).
 """
 
 import functools
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sbox import SBox
 
-# Largest number of int64 entries in one block of pre-charge rows that
-# `_precharge_sweep` updates together (256 KB): a memory bound.
+# Largest number of int64 entries (256 KB) in one block of work: the
+# pre-charge rows that `_precharge_sweep` updates together, or the stacked
+# spectra (members x m x 2^n) that `_stack_scores` scores together.  It is
+# the one cache bound of the module: larger blocks leave the cache.
 _SWEEP_ELEMENTS = 1 << 15
 
 
 def _signs(values, m: int) -> np.ndarray:
-    """(-1)^(bit i of v) as int64 for i < m, component i along the first axis:
-    shape (m,) + shape(values)."""
-    shifts = np.arange(m).reshape((m,) + (1,) * np.ndim(values))
+    """(-1)^(bit i of v) as int64 for i < m: shape (m,) for one integer, and
+    (..., m, 2^n) for a table or a stack of tables (..., 2^n), component i
+    on axis -2."""
+    shifts = np.arange(m)
+    if np.ndim(values):
+        values, shifts = values[..., None, :], shifts[:, None]
     return 1 - 2 * ((values >> shifts) & 1)
 
 
@@ -119,18 +137,20 @@ def _correlate(product: np.ndarray) -> np.ndarray:
     return _fwht_rows(product) // product.shape[-1]
 
 
-def _spectra(sbox: SBox) -> np.ndarray:
-    """W: the (m, 2^n) Walsh-Hadamard spectra of the component signs."""
-    return _fwht_rows(_signs(sbox.table, sbox.m))
+def _spectra(tables: np.ndarray, m: int) -> np.ndarray:
+    """W: the (..., m, 2^n) Walsh-Hadamard spectra of the component signs of
+    a table or a stack of tables (..., 2^n) with m output bits."""
+    return _fwht_rows(_signs(tables, m))
 
 
 def _leakage_spectra(spectra: np.ndarray, beta: int) -> np.ndarray:
-    """W_u of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i."""
-    return _signs(beta, len(spectra)) @ spectra
+    """W_u (..., 2^n) of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i."""
+    return _signs(beta, spectra.shape[-2]) @ spectra
 
 
 def _leakage_autocorrelation(spectra: np.ndarray, beta: int) -> np.ndarray:
-    """A[a] = sum_x u(x) u(x^a) of u = m - 2 HW(F ^ beta)."""
+    """A[a] = sum_x u(x) u(x^a) of u = m - 2 HW(F ^ beta), along the last
+    axis."""
     w_u = _leakage_spectra(spectra, beta)
     return _correlate(w_u * w_u)
 
@@ -182,7 +202,7 @@ def kappa_profile(sbox: SBox) -> np.ndarray:
     autocorrelation of the beta = 0 leakage vector u = m - 2h.
     `ccv_key_from_profile` sums it into a `CcvKey`, which forms the key.
     """
-    corr = _leakage_autocorrelation(_spectra(sbox), 0)
+    corr = _leakage_autocorrelation(_spectra(sbox.table, sbox.m), 0)
     profile = (corr[0] - corr) // 2
     profile.flags.writeable = False
     return profile
@@ -221,7 +241,7 @@ def cross_correlation_fast(sbox: SBox) -> np.ndarray:
     the pointwise product of the components' spectra; all divisions are
     exact, so the table equals direct summation entry-for-entry.
     """
-    spectra = _spectra(sbox)
+    spectra = _spectra(sbox.table, sbox.m)
     c = np.empty((sbox.m, sbox.m, sbox.size), dtype=np.int64)
     for i in range(sbox.m):
         c[i] = _correlate(spectra[i] * spectra)
@@ -229,17 +249,52 @@ def cross_correlation_fast(sbox: SBox) -> np.ndarray:
     return c
 
 
-def transparency_order(sbox: SBox) -> float:
-    """Transparency order under the Hamming-weight model (lower = stronger).
+def _stack_scores(sboxes: SBox | Iterable[SBox], totals, beta: int = 0) -> float | list[float]:
+    """The TO-family score of one S-box, or the list of the scores of a
+    sequence of S-boxes of one (n, m); `totals(spectra)` maps spectra
+    (k, m, 2^n) to the k totals.
+
+    A sequence is stacked and scored in blocks of at most `_SWEEP_ELEMENTS`
+    int64 entries (members x m x 2^n), at least one member each; one S-box
+    is a stack of one, a view of its table.  Each total becomes a Python int
+    before `_score`, so a value does not depend on its block.  ValueError
+    for a sequence of mixed widths or a beta that does not fit in m bits;
+    an empty sequence gives [].
+    """
+    if isinstance(sboxes, SBox):
+        _check_beta(sboxes, beta)
+        return _score(sboxes, totals(_spectra(sboxes.table[None], sboxes.m)).item())
+    sboxes = list(sboxes)
+    if not sboxes:
+        return []
+    first = sboxes[0]
+    if any((sbox.n, sbox.m) != (first.n, first.m) for sbox in sboxes):
+        raise ValueError("the S-boxes of a sequence must share n and m")
+    _check_beta(first, beta)
+    per_block = max(1, _SWEEP_ELEMENTS // (first.m * first.size))
+    values = []
+    for start in range(0, len(sboxes), per_block):
+        tables = np.stack([sbox.table for sbox in sboxes[start : start + per_block]])
+        values += [_score(first, total) for total in totals(_spectra(tables, first.m)).tolist()]
+    return values
+
+
+def transparency_order(sboxes: SBox | Iterable[SBox]) -> float | list[float]:
+    """Transparency order under the Hamming-weight model (lower = stronger)
+    of one S-box, or the list of them for a sequence of S-boxes of one
+    (n, m) (`_stack_scores`).
 
     TO(F) = m - (1/(4^n - 2^n)) * sum_{a != 0} |m 2^n - 2 sum_x HW(F(x) ^ F(x^a))|.
     Each a-term equals |sum_j C[j, j, a]|, the absolute diagonal column sum of
     the cross-correlation spectrum: the inverse transform of sum_j W_j^2
     (exactly, in integers).
     """
-    spectra = _spectra(sbox)
-    diag_sum = _correlate((spectra * spectra).sum(axis=0))
-    return _score(sbox, int(np.abs(diag_sum[1:]).sum()))
+
+    def totals(spectra):
+        diag_sum = _correlate((spectra * spectra).sum(axis=-2))
+        return np.abs(diag_sum[:, 1:]).sum(axis=-1)
+
+    return _stack_scores(sboxes, totals)
 
 
 def _check_beta(sbox: SBox, beta: int) -> None:
@@ -251,42 +306,49 @@ def _check_beta(sbox: SBox, beta: int) -> None:
         raise ValueError(f"beta {beta} does not fit in m={sbox.m} bits")
 
 
-def mto_beta(sbox: SBox, beta: int) -> float:
-    """Modified transparency order for one pre-charge beta.
+def mto_beta(sboxes: SBox | Iterable[SBox], beta: int) -> float | list[float]:
+    """Modified transparency order for one pre-charge beta, of one S-box or
+    of each of a sequence (`_stack_scores`).
 
     m - (1/(4^n - 2^n)) * sum_{a != 0} sum_j |sum_i (-1)^(b_i ^ b_j) C[i, j, a]|;
     the absolute value sits inside the outer component sum.  The inner sum
     sum_i (-1)^b_i C[i, j, a] is the correlation of u = m - 2 HW(F ^ beta)
     with component j, the inverse transform of W_u W_j.
     """
-    _check_beta(sbox, beta)
-    spectra = _spectra(sbox)
-    inner = _correlate(_leakage_spectra(spectra, beta) * spectra)
-    # |s_j * inner[j]| = |inner[j]| since s_j is a sign.
-    return _score(sbox, int(np.abs(inner[:, 1:]).sum()))
+
+    def totals(spectra):
+        inner = _correlate(_leakage_spectra(spectra, beta)[:, None] * spectra)
+        # |s_j * inner[j]| = |inner[j]| since s_j is a sign.
+        return np.abs(inner[:, :, 1:]).sum(axis=(1, 2))
+
+    return _stack_scores(sboxes, totals, beta)
 
 
-def rto_beta(sbox: SBox, beta: int) -> float:
-    """Revised transparency order for one pre-charge beta.
+def rto_beta(sboxes: SBox | Iterable[SBox], beta: int) -> float | list[float]:
+    """Revised transparency order for one pre-charge beta, of one S-box or
+    of each of a sequence (`_stack_scores`).
 
     Same sum as mto_beta but with the absolute value outside both component
     sums, so rto_beta >= mto_beta pointwise.  The double sum is the
     autocorrelation of u = m - 2 HW(F ^ beta), the inverse transform of
     W_u^2, so it depends only on the sequence HW(F(x) ^ beta).
     """
-    _check_beta(sbox, beta)
-    outer = _leakage_autocorrelation(_spectra(sbox), beta)
-    return _score(sbox, int(np.abs(outer[1:]).sum()))
+
+    def totals(spectra):
+        outer = _leakage_autocorrelation(spectra, beta)
+        return np.abs(outer[:, 1:]).sum(axis=-1)
+
+    return _stack_scores(sboxes, totals, beta)
 
 
-def mto_beta_zero(sbox: SBox) -> float:
+def mto_beta_zero(sboxes: SBox | Iterable[SBox]) -> float | list[float]:
     """MTO restricted to beta = 0 (the Hamming-weight model)."""
-    return mto_beta(sbox, 0)
+    return mto_beta(sboxes, 0)
 
 
-def rto_beta_zero(sbox: SBox) -> float:
+def rto_beta_zero(sboxes: SBox | Iterable[SBox]) -> float | list[float]:
     """RTO restricted to beta = 0 (the Hamming-weight model)."""
-    return rto_beta(sbox, 0)
+    return rto_beta(sboxes, 0)
 
 
 def _flip(bit: int, c, signs, half, quarter) -> None:
@@ -375,21 +437,28 @@ def rto(sbox: SBox) -> float:
     return _score(sbox, _precharge_minima(sbox)[1])
 
 
+def _each(metric, sboxes):
+    """metric(sbox) of one S-box, or the list of it over a sequence."""
+    return metric(sboxes) if isinstance(sboxes, SBox) else [metric(s) for s in sboxes]
+
+
 # Each lambda looks its function up at call time, so a wrapper installed on a
-# module attribute sees every evaluation.
+# module attribute sees every evaluation: each S-box for ccv, mto and rto,
+# and each batch, whole, for the other three.
 _METRICS = {
-    "ccv": lambda sbox: ccv(sbox),
-    "to": lambda sbox: transparency_order(sbox),
-    "mto0": lambda sbox: mto_beta_zero(sbox),
-    "rto0": lambda sbox: rto_beta_zero(sbox),
-    "mto": lambda sbox: mto(sbox),
-    "rto": lambda sbox: rto(sbox),
+    "ccv": lambda sboxes: _each(ccv, sboxes),
+    "to": lambda sboxes: transparency_order(sboxes),
+    "mto0": lambda sboxes: mto_beta_zero(sboxes),
+    "rto0": lambda sboxes: rto_beta_zero(sboxes),
+    "mto": lambda sboxes: _each(mto, sboxes),
+    "rto": lambda sboxes: _each(rto, sboxes),
 }
 METRIC_NAMES = tuple(_METRICS)
 
 
-def metric_value(sbox: SBox, name: str) -> float:
-    """Evaluate the metric called `name`."""
+def metric_value(sboxes: SBox | Iterable[SBox], name: str) -> float | list[float]:
+    """Evaluate the metric called `name` on one S-box (a float), or on each
+    of a sequence of S-boxes of one (n, m) (a list of floats, in order)."""
     if name not in _METRICS:
         raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
-    return _METRICS[name](sbox)
+    return _METRICS[name](sboxes)

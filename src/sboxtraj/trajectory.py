@@ -26,8 +26,9 @@ from .search import check_search_width, ls_hwf
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
 
-# Sample members (lanes) per hw_class_shuffle call in sample_equal_ccv, which
-# bounds the memory of a call and of the members held at once.
+# Sample members (lanes) per hw_class_shuffle call in sample_equal_ccv and per
+# metric_value call in _run_trajectory, which bounds the memory of a call and
+# of the members held at once.
 _LANES = 256
 
 
@@ -91,6 +92,11 @@ def _mean(values: list[float]) -> float:
     return _sum(values) / len(values)
 
 
+def _lane_chunks(items: Iterator) -> Iterator[list]:
+    """Lists of the next _LANES items (read at call time), the last shorter."""
+    return iter(lambda: list(itertools.islice(items, _LANES)), [])
+
+
 def sample_equal_ccv(
     fstars: Iterable[SBox], size: int, rngs: Iterable[RngStream]
 ) -> Iterator[SBox]:
@@ -110,10 +116,9 @@ def sample_equal_ccv(
     if size == 1:
         return (fstar for fstar, _ in pairs)
     lanes = ((fstar, rng.child(s)) for fstar, rng in pairs for s in range(size))
-    calls = iter(lambda: list(itertools.islice(lanes, _LANES)), [])
     return itertools.chain.from_iterable(
         hw_class_shuffle([fstar for fstar, _ in call], [rng for _, rng in call])
-        for call in calls
+        for call in _lane_chunks(lanes)
     )
 
 
@@ -155,7 +160,12 @@ def _run_trajectory(
     )
     next(incumbents)  # the initial S-box, before the first climb
     rngs = (RngStream(master_seed, (run_id, event.climb_index)) for event in result.events)
-    values = (metric_value(s, metric) for s in sample_equal_ccv(incumbents, sample_size, rngs))
+    members = sample_equal_ccv(incumbents, sample_size, rngs)
+    # The metric takes _LANES members per call, across samples: a batch of a
+    # sample's few members would leave most of the per-call cost unshared.
+    values = itertools.chain.from_iterable(
+        metric_value(batch, metric) for batch in _lane_chunks(members)
+    )
     samples = (list(itertools.islice(values, sample_size)) for _ in result.events)
     # The sample is CCV-constant by construction, so the mean CCV is the
     # incumbent's value exactly.

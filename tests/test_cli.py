@@ -390,11 +390,12 @@ class TestInputsCheckedFirst:
         assert err.startswith("error: --emit-climbs:") and "is the --out file" in err
         assert final.read_text() == "kept\n"
 
-    def test_export_plot_out_is_its_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["trajectories.csv", "summary.json"])
+    def test_export_plot_out_is_its_input(self, tmp_path, capsys, name):
         exp = tmp_path / "exp"
         assert TestExperimentCommand().run_small(exp) == 0
         before = {p.name: p.read_bytes() for p in exp.iterdir()}
-        argv = ["export-plot", "--in", str(exp), "--out", str(exp / "trajectories.csv")]
+        argv = ["export-plot", "--in", str(exp), "--out", str(exp / name)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --out:") and "is an input file" in err

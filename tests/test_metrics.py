@@ -358,6 +358,99 @@ class TestMtoRto:
             assert rto(sbox) >= rto0
 
 
+def batch_family(kind):
+    """40 S-boxes of one (n, m): bijective 8x8, non-bijective 5x5, and
+    non-bijective with m > n and with m < n."""
+    if kind == "bijective-8":
+        return [random_bijective_sbox(8, RngStream(20, (k,))) for k in range(40)]
+    n, m = {"random-5": (5, 5), "n4-m7": (4, 7), "n6-m3": (6, 3)}[kind]
+    rng = random.Random(kind)
+    return [SBox(n, m, [rng.randrange(1 << m) for _ in range(1 << n)]) for _ in range(40)]
+
+
+BATCH_KINDS = ("bijective-8", "random-5", "n4-m7", "n6-m3")
+
+
+def stack_metrics(m):
+    """The metrics that take a sequence, by name: TO, MTO0, RTO0, and MTO and
+    RTO at three pre-charges."""
+    top = (1 << m) - 1
+    calls = {"to": transparency_order, "mto0": mto_beta_zero, "rto0": rto_beta_zero}
+    for beta in (1, top // 3, top):
+        calls[f"mto@{beta}"] = lambda sboxes, beta=beta: mto_beta(sboxes, beta)
+        calls[f"rto@{beta}"] = lambda sboxes, beta=beta: rto_beta(sboxes, beta)
+    return calls
+
+
+class TestStacks:
+    """A sequence of S-boxes gives, in order, exactly the floats of its
+    members one at a time, whatever blocks it is scored in."""
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_sequence_equals_each(self, kind):
+        family = batch_family(kind)
+        calls = stack_metrics(family[0].m)
+        each = {name: [f(sbox) for sbox in family] for name, f in calls.items()}
+        for length in (1, 15, 16, 17, 40):
+            for name, f in calls.items():
+                values = f(family[:length])
+                assert values == each[name][:length], (name, length)
+                assert all(type(v) is float for v in values)
+        assert calls["to"](tuple(family)) == each["to"]
+        assert calls["mto0"](iter(family)) == each["mto0"]
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_block_boundaries_are_invisible(self, kind, monkeypatch):
+        family = batch_family(kind)
+        calls = stack_metrics(family[0].m)
+        each = {name: [f(sbox) for sbox in family] for name, f in calls.items()}
+        for budget in SWEEP_BUDGETS:
+            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
+            assert {name: f(family) for name, f in calls.items()} == each, budget
+
+    def test_blocks_hold_at_most_the_budget(self, monkeypatch):
+        # 40 S-boxes of 8 x 2^8 entries are scored 16, 16 and 8 at a time;
+        # a budget below one S-box still scores one at a time.
+        stacks = []
+
+        def recording(tables, m):
+            stacks.append(tables.shape)
+            return spectra(tables, m)
+
+        assert metrics_mod._SWEEP_ELEMENTS == 16 * 8 * 256
+        spectra = metrics_mod._spectra
+        monkeypatch.setattr(metrics_mod, "_spectra", recording)
+        family = batch_family("bijective-8")
+        transparency_order(family)
+        assert stacks == [(16, 256), (16, 256), (8, 256)]
+        stacks.clear()
+        monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", 1)
+        mto_beta_zero(family[:3])
+        assert stacks == [(1, 256)] * 3
+        stacks.clear()
+        rto_beta_zero(family[0])
+        assert stacks == [(1, 256)]
+
+    def test_mixed_widths_raise(self):
+        first = batch_family("random-5")[0]
+        for other in (SBox(5, 4, [0] * 32), identity_sbox(4)):
+            for f in stack_metrics(4).values():
+                with pytest.raises(ValueError):
+                    f([first, other])
+
+    def test_empty_sequence(self):
+        for f in stack_metrics(4).values():
+            assert f([]) == []
+
+    def test_beta_out_of_range(self):
+        family = batch_family("n6-m3")
+        for beta in (8, -1, 1.5, 1.0, "1"):
+            with pytest.raises(ValueError):
+                mto_beta(family, beta)
+            with pytest.raises(ValueError):
+                rto_beta(family[:1], beta)
+
+
 class TestPrechargeCache:
     """`mto` and `rto` share one sweep through a one-entry cache keyed on the
     S-box's value."""

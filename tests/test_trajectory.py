@@ -179,6 +179,12 @@ class TestMetricValue:
         assert set(want) < set(METRIC_NAMES)
         assert {name: metric_value(sbox, name) for name in want} == want
 
+    def test_sequence_gives_each_value(self):
+        sboxes = [random_bijective_sbox(4, RngStream(5, (k,))) for k in range(17)]
+        for name in METRIC_NAMES:
+            assert metric_value(sboxes, name) == [metric_value(s, name) for s in sboxes], name
+            assert metric_value([], name) == []
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             metric_value(random_bijective_sbox(4, RngStream(2)), "nl")
@@ -306,12 +312,15 @@ class TestRunExperiment:
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
     def test_chunking_is_invisible(self, monkeypatch):
-        # Calls of 1, 3, 7 and 14 lanes split samples across calls and mix
-        # incumbents in one call, and give one summary.
-        want = run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6)
-        for lanes in (1, 3, 7, 14):
-            monkeypatch.setattr(trajectory_module, "_LANES", lanes)
-            assert run_experiment(n=5, metric="to", runs=3, sample_size=7, master_seed=6) == want
+        # Sampler and metric calls of 1, 3, 7 and 14 lanes split samples
+        # across calls and mix incumbents in one call, and give one summary.
+        for metric in ("to", "mto0"):
+            want = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
+            for lanes in (1, 3, 7, 14):
+                monkeypatch.setattr(trajectory_module, "_LANES", lanes)
+                got = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
+                assert got == want, (metric, lanes)
+            monkeypatch.undo()
 
     def test_large_sample_memory_is_bounded(self):
         # A sample of 10 * _LANES members is drawn _LANES members per call,
