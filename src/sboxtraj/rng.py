@@ -20,12 +20,23 @@ _GOLDEN = 0x9E3779B97F4A7C15
 SEED_MIXER_ID = "splitmix64-path-v1"
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer: a bijective 64-bit avalanche mix."""
-    z &= _MASK64
+def _mix64(z):
+    """splitmix64 finalizer: a bijective 64-bit avalanche mix, of a Python
+    int or of each entry of a numpy uint64 array (which wraps mod 2^64)."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_path(s, path):
+    """derive_seed's mixer from master seed s, mod 2^64, along path
+    entries given as (e + 1) mod 2^64: Python ints for one stream, or numpy
+    uint64 arrays with one entry per stream for many."""
+    s = _mix64(s)
+    for e in path:
+        s = _mix64(s + _GOLDEN * e)
+    return s
 
 
 def derive_seed(master_seed: int, path: tuple[int, ...]) -> int:
@@ -36,10 +47,7 @@ def derive_seed(master_seed: int, path: tuple[int, ...]) -> int:
     scheme is frozen (see SEED_MIXER_ID); changing it would silently change
     every seeded result, so treat it as part of the file-format contract.
     """
-    s = _mix64(int(master_seed) & _MASK64)
-    for e in path:
-        s = _mix64((s + _GOLDEN * (int(e) + 1)) & _MASK64)
-    return s
+    return _mix_path(int(master_seed) & _MASK64, [(int(e) + 1) & _MASK64 for e in path])
 
 
 class RngStream:
@@ -54,7 +62,7 @@ class RngStream:
 
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
         self.master_seed = int(master_seed)
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(map(int, path))
 
     @functools.cached_property
     def _rng(self) -> random.Random:
@@ -67,12 +75,39 @@ class RngStream:
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
 
-    def words(self, count: int) -> np.ndarray:
-        """The next `count` 32-bit Mersenne Twister outputs, in draw order.
 
-        They come from one getrandbits(32 * count), which packs the outputs
-        least-significant first; each is the word a draw of at most 32 bits
-        would shift down, so draws can be replayed from them.
-        """
-        bits = self._rng.getrandbits(32 * count)
-        return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
+def _seeds(streams: list[RngStream]) -> list[int]:
+    """derive_seed of each stream, mixed for all streams of one path length
+    at once in numpy uint64."""
+    seeds = [0] * len(streams)
+    by_length = {}
+    for k, stream in enumerate(streams):
+        by_length.setdefault(len(stream.path), []).append(k)
+    for ks in by_length.values():
+        masters = np.array([streams[k].master_seed & _MASK64 for k in ks], dtype=np.uint64)
+        path = [
+            np.array([(e + 1) & _MASK64 for e in entries], dtype=np.uint64)
+            for entries in zip(*(streams[k].path for k in ks))
+        ]
+        for k, seed in zip(ks, _mix_path(masters, path).tolist()):
+            seeds[k] = seed
+    return seeds
+
+
+def first_words(streams: list[RngStream], count: int) -> np.ndarray:
+    """The first `count` 32-bit Mersenne Twister outputs of each stream, in
+    draw order: a (len(streams), count) uint32 array.
+
+    A row comes from one getrandbits(32 * count) of a generator seeded as
+    the stream's, which packs the outputs least-significant first; each is
+    the word a draw of at most 32 bits would shift down, so draws can be
+    replayed from them.  One generator is re-seeded for every stream, so the
+    streams themselves are neither seeded nor advanced.
+    """
+    gen = random.Random()
+    size = 4 * count
+    words = bytearray(size * len(streams))
+    for k, seed in enumerate(_seeds(streams)):
+        gen.seed(seed)
+        words[k * size : (k + 1) * size] = gen.getrandbits(32 * count).to_bytes(size, "little")
+    return np.frombuffer(words, dtype="<u4").reshape(len(streams), count)

@@ -15,20 +15,20 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .metrics import metric_value
 from .rng import SEED_MIXER_ID, RngStream
-from .sbox import SBox, hw_class_shuffle, swap_outputs
+from .sbox import SBox, hw_class_shuffle, shuffle_lanes, swap_outputs
 from .search import check_search_width, ls_hwf
 
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
 
-# Sample members (lanes) per hw_class_shuffle call in sample_equal_ccv and per
-# metric_value call in _run_trajectory, which bounds the memory of a call and
-# of the members held at once.
+# Sample members per metric_value call in _run_trajectory, which bounds the
+# memory of a call; sample_equal_ccv sizes its hw_class_shuffle calls in
+# bytes instead (sbox.shuffle_lanes).
 _LANES = 256
 
 
@@ -92,9 +92,10 @@ def _mean(values: list[float]) -> float:
     return _sum(values) / len(values)
 
 
-def _lane_chunks(items: Iterator) -> Iterator[list]:
-    """Lists of the next _LANES items (read at call time), the last shorter."""
-    return iter(lambda: list(itertools.islice(items, _LANES)), [])
+def _chunks(items: Iterator, length: Callable) -> Iterator[list]:
+    """Lists of the next length(first item) items, the last shorter."""
+    for first in items:
+        yield [first, *itertools.islice(items, length(first) - 1)]
 
 
 def sample_equal_ccv(
@@ -106,9 +107,10 @@ def sample_equal_ccv(
     Member s of sample k is an independent weight-class shuffle of the k-th
     S-box, drawn from the k-th stream's child(s); duplicates are permitted.
     Both inputs are read lazily and must have the same length (ValueError
-    when the members are taken).  Members are shuffled _LANES per call, so
-    the S-boxes must have the same class sizes.  A size-1 sample is the
-    S-box itself, matching the revised-transparency-order protocol.
+    when the members are taken).  Members are shuffled as many per call as
+    sbox.shuffle_lanes allows, so the S-boxes must have the same class
+    sizes.  A size-1 sample is the S-box itself, matching the
+    revised-transparency-order protocol.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
@@ -118,7 +120,7 @@ def sample_equal_ccv(
     lanes = ((fstar, rng.child(s)) for fstar, rng in pairs for s in range(size))
     return itertools.chain.from_iterable(
         hw_class_shuffle([fstar for fstar, _ in call], [rng for _, rng in call])
-        for call in _lane_chunks(lanes)
+        for call in _chunks(lanes, lambda lane: shuffle_lanes(lane[0].n))
     )
 
 
@@ -164,7 +166,7 @@ def _run_trajectory(
     # The metric takes _LANES members per call, across samples: a batch of a
     # sample's few members would leave most of the per-call cost unshared.
     values = itertools.chain.from_iterable(
-        metric_value(batch, metric) for batch in _lane_chunks(members)
+        metric_value(batch, metric) for batch in _chunks(members, lambda _: _LANES)
     )
     samples = (list(itertools.islice(values, sample_size)) for _ in result.events)
     # The sample is CCV-constant by construction, so the mean CCV is the

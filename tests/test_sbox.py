@@ -1,5 +1,6 @@
 import platform
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sboxtraj import (
     swap_outputs,
 )
 import sboxtraj.sbox as sbox_module
-from sboxtraj.rng import derive_seed
+from sboxtraj.rng import _seeds, derive_seed, first_words
 from sboxtraj.sbox import IndexOutOfRangeError
 
 from builders import constant_sbox, identity_sbox
@@ -78,6 +79,38 @@ class TestParse:
 
     def test_hex_prefix_case_and_leading_zeros(self):
         assert parse_sbox("0X0 0xF 007 0x0a", 2, 4).table.tolist() == [0, 15, 7, 10]
+
+    def test_one_match_reads_what_each_token_reads(self):
+        # Random texts of decimal tokens, with and without leading zeros,
+        # and hex tokens of either prefix, between runs of spaces, tabs,
+        # newlines, commas and a non-ASCII space.
+        rnd = random.Random(11)
+        seps = [" ", ",", "\n", "\t", ", ", ",,\n", "\u2003"]
+        for _ in range(200):
+            values = [rnd.randrange(64) for _ in range(64)]
+            tokens = [
+                rnd.choice([str(v), f"00{v}", f"0x{v:x}", f"0X{v:02X}"]) for v in values
+            ]
+            text = rnd.choice(["", " ", ",\n"]) + "".join(
+                token + rnd.choice(seps) for token in tokens
+            )
+            assert parse_sbox(text, 6, 6).table.tolist() == values
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0 1 two 3 x", "cannot parse token 'two'"),
+            ("0x1,0x2,1x,0x", "cannot parse token '1x'"),
+            ("0 1 2 3 0x", "cannot parse token '0x'"),
+            ("007 1 2 +3", "cannot parse token '+3'"),
+            ("0 1 2 " + "1" * 5000 + " 3_", "token of 5000 digits is too long"),
+        ],
+        ids=["word", "digit-x", "bare-prefix", "sign", "5000-digits-first"],
+    )
+    def test_errors_name_the_first_bad_token(self, text, message):
+        with pytest.raises(MalformedTokenError) as excinfo:
+            parse_sbox(text, 2, 8)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_serialize_round_trip(self, n):
@@ -187,10 +220,29 @@ class TestRngStream:
         assert len(tables) == 20
 
     def test_words_are_the_32_bit_draws_in_order(self):
-        rng = RngStream(3, (1, 2))
-        draws = random.Random(derive_seed(3, (1, 2)))
-        words = [*rng.words(5), *rng.words(0), *rng.words(3)]
-        assert words == [draws.getrandbits(32) for _ in range(8)]
+        streams = [RngStream(3, (1, 2)), RngStream(2**64 + 5), RngStream(3, (1, 2))]
+        streams[2].shuffle([1, 2, 3])  # a stream that has drawn still gives its first words
+        words = first_words(streams, 8)
+        assert words.shape == (3, 8) and words.dtype == np.uint32
+        for stream, row in zip(streams, words):
+            draws = random.Random(derive_seed(stream.master_seed, stream.path))
+            assert row.tolist() == [draws.getrandbits(32) for _ in range(8)]
+        assert first_words(streams, 0).shape == (3, 0)
+
+    def test_seeds_of_many_streams_are_derive_seed(self):
+        # Paths of mixed lengths and entries past 64 bits or below zero, on
+        # masters past 64 bits or below zero.
+        rnd = random.Random(5)
+        entries = [0, 7, -1, 2**64 - 1, 2**64, 2**80 + 3]
+        streams = [
+            RngStream(
+                rnd.choice([0, -5, 2**64 - 1, 2**70 + 3, rnd.getrandbits(64)]),
+                tuple(rnd.choice(entries + [rnd.getrandbits(20)]) for _ in range(rnd.randrange(5))),
+            )
+            for _ in range(300)
+        ]
+        assert _seeds(streams) == [derive_seed(s.master_seed, s.path) for s in streams]
+        assert _seeds([]) == []
 
     def test_child_extends_path(self):
         root = RngStream(5)
@@ -316,34 +368,48 @@ class TestHwClassShuffle:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_more_words_drawn_when_a_lane_runs_short(self, n, monkeypatch):
-        # With no words budgeted per step, each block is one look-ahead
-        # long, so every lane draws many blocks.
+        # With no headroom at all each lane first gets one word per draw,
+        # so nearly every lane runs short, and is drawn again, twice as
+        # long, until its draws fit.
         calls = []
-        words = RngStream.words
 
-        def counted(self, count):
-            calls.append(count)
-            return words(self, count)
+        def counted(streams, count):
+            calls.append((len(streams), count))
+            return first_words(streams, count)
 
-        monkeypatch.setattr(sbox_module, "_WORDS_PER_STEP", 0)
-        monkeypatch.setattr(RngStream, "words", counted)
+        monkeypatch.setattr(sbox_module, "_HEADROOM", -(10**9))
+        monkeypatch.setattr(sbox_module, "first_words", counted)
         rnd = random.Random(100 + n)
         sboxes = same_class_sizes(n, 3, rnd, 3) * 4
         assert_draws_match_reference(sboxes, [(n, (len(sboxes), k)) for k in range(len(sboxes))])
-        assert set(calls) == {sbox_module._WINDOW}
+        draws = sboxes[0].size - len({hw(v) for v in sboxes[0].table})
+        lanes, counts = zip(*calls)
+        assert lanes[0] == len(sboxes) and counts[0] == max(1, draws)
+        assert all(b == 2 * a for a, b in zip(counts, counts[1:]))
+        assert all(b <= a for a, b in zip(lanes, lanes[1:]))
         if n > 2:
-            assert len(calls) > len(sboxes)
+            assert len(calls) >= 2
 
-    @pytest.mark.parametrize("window,per_step", [(1, 1.5), (2, 1.5), (1, 0)])
-    def test_draws_past_the_look_ahead(self, window, per_step, monkeypatch):
-        # A look-ahead of one or two words is often all rejected, so lanes
-        # finish their steps word by word, and with no words budgeted they
-        # also run out of words there.
-        monkeypatch.setattr(sbox_module, "_WINDOW", window)
-        monkeypatch.setattr(sbox_module, "_WORDS_PER_STEP", per_step)
-        for n, m in ((3, 3), (6, 2), (8, 8)):
+    @pytest.mark.parametrize("headroom", [-2, 0, 6])
+    def test_runs_of_rejected_words(self, headroom, monkeypatch):
+        # A draw below b rejects a word with probability 1 - b / 2^k, about
+        # one half for b just above a power of two, so lanes meet runs of
+        # rejected words; with no headroom, or less, many lanes run short
+        # inside one.  A lane that has made all its draws accepts no more
+        # words.
+        calls = []
+
+        def counted(streams, count):
+            calls.append(len(streams))
+            return first_words(streams, count)
+
+        monkeypatch.setattr(sbox_module, "_HEADROOM", headroom)
+        monkeypatch.setattr(sbox_module, "first_words", counted)
+        for n, m in ((3, 3), (6, 1), (8, 8)):
             sboxes = same_class_sizes(n, m, random.Random(n), 2) * 6
             assert_draws_match_reference(sboxes, [(7, (n, m, k)) for k in range(len(sboxes))])
+        if headroom <= 0:
+            assert len(calls) > 3
 
     @pytest.mark.parametrize(
         "sboxes",
@@ -384,6 +450,40 @@ class TestHwClassShuffle:
         # Nothing was cached, so the next call checks again, and passes.
         assert hw_class_shuffle([identity_sbox(3)], [RngStream(0)])
         assert sbox_module._check_shuffle_replay.cache_info().currsize == 1
+
+    def test_streams_are_not_advanced(self):
+        # Each lane draws from the start of its stream, whatever the stream
+        # drew before, and leaves it as it was.
+        sbox = random_bijective_sbox(5, RngStream(1))
+        rngs = [RngStream(4, (k,)) for k in range(3)]
+        first = hw_class_shuffle([sbox] * 3, rngs)
+        assert hw_class_shuffle([sbox] * 3, rngs) == first
+        for k, rng in enumerate(rngs):
+            items, fresh = list(range(20)), list(range(20))
+            rng.shuffle(items)
+            RngStream(4, (k,)).shuffle(fresh)
+            assert items == fresh
+        assert hw_class_shuffle([sbox] * 3, rngs) == first
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("share", [1, 5], ids=["distinct", "five-per-sbox"])
+    def test_a_call_stays_within_its_bytes(self, n, share):
+        # shuffle_lanes(n) lanes, one S-box per lane or one per five lanes,
+        # as in a sample, keep their working arrays and results within
+        # _CALL_BYTES, and the bound is not loose.
+        lanes = sbox_module.shuffle_lanes(n)
+        distinct = [random_bijective_sbox(n, RngStream(n, (k,))) for k in range(-(-lanes // share))]
+        sboxes = [distinct[k // share] for k in range(lanes)]
+        rngs = [RngStream(1, (k,)) for k in range(lanes)]
+        hw_class_shuffle(sboxes[:1], rngs[:1])  # the one-time replay check
+        tracemalloc.start()
+        try:
+            shuffled = hw_class_shuffle(sboxes, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(shuffled) == lanes
+        assert sbox_module._CALL_BYTES // 2 < peak <= sbox_module._CALL_BYTES
 
     def test_same_splits_at_different_output_widths(self):
         # The class sizes are what the lanes must share: (1, 2, 1) here.

@@ -29,6 +29,7 @@ from sboxtraj import (
     swap_outputs,
     transparency_order,
 )
+import sboxtraj.sbox as sbox_module
 import sboxtraj.trajectory as trajectory_module
 from sboxtraj.metrics import METRIC_NAMES
 from sboxtraj.rng import derive_seed
@@ -314,19 +315,31 @@ class TestRunExperiment:
     def test_chunking_is_invisible(self, monkeypatch):
         # Sampler and metric calls of 1, 3, 7 and 14 lanes split samples
         # across calls and mix incumbents in one call, and give one summary.
+        # The sampler's calls are sized by the bytes a lane takes.
+        sizes = []
+
+        def shuffle(sboxes, rngs):
+            sizes.append(len(sboxes))
+            return hw_class_shuffle(sboxes, rngs)
+
+        per_output, per_lane = sbox_module._LANE_BYTES
         for metric in ("to", "mto0"):
             want = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
             for lanes in (1, 3, 7, 14):
                 monkeypatch.setattr(trajectory_module, "_LANES", lanes)
+                monkeypatch.setattr(sbox_module, "_CALL_BYTES", lanes * ((per_output << 5) + per_lane))
+                monkeypatch.setattr(trajectory_module, "hw_class_shuffle", shuffle)
+                sizes.clear()
                 got = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
                 assert got == want, (metric, lanes)
+                assert max(sizes) == lanes and sizes.count(lanes) >= len(sizes) - 3
             monkeypatch.undo()
 
     def test_large_sample_memory_is_bounded(self):
-        # A sample of 10 * _LANES members is drawn _LANES members per call,
-        # so the run never holds the streams and S-boxes of the whole sample
-        # (about 9 MB here when drawn in one call).
-        size = 10 * trajectory_module._LANES
+        # A sample of 10 * shuffle_lanes(3) members is drawn shuffle_lanes(3)
+        # members per call, so the run never holds the streams and S-boxes
+        # of the whole sample.
+        size = 10 * sbox_module.shuffle_lanes(3)
         tracemalloc.start()
         try:
             trajectory = trajectory_module._run_trajectory(3, "to", size, 1, 0)
@@ -334,7 +347,8 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert trajectory.points
-        assert peak < 3 * 2**20
+        # One call's bytes, plus 1 MiB for the search and the metric.
+        assert peak < sbox_module._CALL_BYTES + 2**20
 
     def test_trajectory_points_agree_with_public_ops(self):
         # the driver skips the members' CCV keys; rebuilding each point from
