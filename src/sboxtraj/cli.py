@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .metrics import METRIC_NAMES, metric_value
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_out_files(outs: list[tuple[str, str | Path | None]], inputs=()) -> None:
     """Fail before any work unless each (flag, path) of `outs` with a path
-    names a writable file that no other output or input of the command names."""
+    names a file, not a directory, in an existing directory, that no other
+    output or input of the command names.  A write the file system refuses
+    later is reported by `_open_out`."""
     named = dict.fromkeys((path.resolve() for path in inputs), "an input file")
     for flag, path in outs:
         if path is None:
@@ -54,6 +57,17 @@ def _check_out_files(outs: list[tuple[str, str | Path | None]], inputs=()) -> No
         if key in named:
             raise CliError(f"{flag}: {out} is {named[key]}")
         named[key] = f"the {flag} file"
+
+
+@contextmanager
+def _open_out(path: str | Path, **kwargs):
+    """Open `path` for writing; an OSError while opening or writing it, such
+    as a directory that takes no new file, is a CliError."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _fmt(value: float) -> str:
@@ -92,11 +106,12 @@ def cmd_search(args) -> int:
     result = ls_hwf(args.n, RngStream(args.seed))
     text = serialize_sbox(result.final)
     if args.out:
-        Path(args.out).write_text(text)
+        with _open_out(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     if args.emit_climbs:
-        with open(args.emit_climbs, "w", newline="") as fh:
+        with _open_out(args.emit_climbs, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run_id", "climb_index", "i", "j", "ccv"])
             for event in result.events:
@@ -107,7 +122,7 @@ def cmd_search(args) -> int:
 
 
 def _write_trajectories_csv(path: Path, summary: ExperimentSummary) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_FIELDS)
         for trajectory in summary.trajectories:
@@ -141,7 +156,7 @@ def _write_summary_json(path: Path, summary: ExperimentSummary) -> None:
         "degenerate_runs": list(summary.degenerate_runs),
         "degenerate_count": len(summary.degenerate_runs),
     }
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -206,7 +221,8 @@ def cmd_export_plot(args) -> int:
         current_run = run_id
         # Copy the serialized values verbatim so the export round-trips.
         lines.append(f"{mean_ccv} {mean_metric}")
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+    with _open_out(args.out) as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 
 

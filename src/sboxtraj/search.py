@@ -13,25 +13,44 @@ Closed-form swap gain.  Let h be the Hamming-weight table, S the CCV profile
 swap (i, j) let delta = h[j] - h[i] and e = i^j.  The swap leaves sum(S)
 unchanged, because sum_d S[d] depends only on the multiset of weights, so it
 raises the key N sum(S^2) - sum(S)^2 iff it raises sum(S^2), by
+gain = 8 g8 with
 
-    gain = 24 delta^2 S[e] - 32 delta^4 + 8 delta (G[j] - G[i]).
+    g8 = delta (delta (3 S[e] - 4 delta^2) + G[j] - G[i]).
 
-A row i of candidates is one vector expression, O(1) per candidate, and an
-equal-weight pair has gain 0.  Accepting (i, j) changes S by
-dS[d] = 4 delta (h(j^d) - h(i^d)), with dS[0] = dS[e] = 0, and G by
+An equal-weight pair has g8 = 0.  The scan forms g8, which has the sign of the
+gain, in place in one temporary, and multiplies by 8 only the accepted one.
 
-    3 delta (S[x^i] - S[x^j]) - 4 delta^2 (h[x] - h[x^e]) + delta (dS[x^i] - dS[x^j])
+Block scan.  Rows i..i+r-1 are scored against the columns j_next..2^n-1 in
+one vector expression, O(1) per candidate, with delta set to 0 wherever
+j <= row.  Row-major order is lexicographic order, so the block's first
+positive entry is the first improving pair and the climb is the row-by-row
+one; evaluations counts the block's weight-differing entries up to it.  A
+block that accepts nothing doubles r for the next one, an acceptance resets
+r to 1 and the scan goes on from (i, j + 1), so a block of more than one
+row starts at the head of a row.  r is capped at _SCAN_ELEMENTS // 2^n
+(2^13 entries, 64 KB per int64 temporary; the fastest of 2^11-2^15 at
+n = 9 and 10) and cut at the last row.  Most rows of a late pass accept
+nothing and go by in a few blocks.
 
-with h and S taken before the swap: O(2^n) per accepted swap, no transform.
-G is built once per search, as the inverse transform `metrics._correlate` of
-the product of the spectra of h and S.
+Swap update.  Accepting (i, j) changes S by dS[d] = 4 delta (h(j^d) - h(i^d)),
+with dS[0] = dS[e] = 0.  With dH[x] = 4 delta (h[x^e] - h[x]), dS[d] is
+dH[d^i] and dS[x^i] - dS[x^j] = 2 dH[x] for x not in {i, j}, so G changes by
+
+    3 delta (S[x^i] - S[x^j] + dH[x]),  minus 8 delta^3 at i, plus 8 delta^3 at j,
+
+with h and S taken before the swap: O(2^n) per accepted swap, three gathers
+and no transform.  G is built once per search, as the inverse transform
+`metrics._correlate` of the product of the spectra of h and S.
 
 Bounds.  The search takes n = 2..MAX_SEARCH_WIDTH.  With h <= n and
 S <= n^2 2^n, G <= n^3 4^n and a gain is below
 8 n^4 4^n + 24 n^4 2^n + 32 n^4, both in int64; `check_search_width` checks
-both before any work.  The one-off inverse transform of G has
-sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at n = 12, below the 2^53
-up to which the float64 kernel is exact and which the kernel checks itself.
+both before any work.  Every partial result of g8 is at most an eighth of
+the gain bound, and dH and the G update are at most 4 n^2 and
+3 n^3 2^n + 20 n^3, so the gain bound covers them too.  The one-off inverse
+transform of G has sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at
+n = 12, below the 2^53 up to which the float64 kernel is exact and which the
+kernel checks itself.
 
 Events record (i, j) and the `CcvKey` after the swap, whose key and CCV are
 formed in `metrics.CcvKey` from the exact sums; the climb only advances
@@ -50,6 +69,9 @@ from .sbox import SBox, SBoxError, random_bijective_sbox
 # Largest input width the search takes.
 MAX_SEARCH_WIDTH = 12
 
+# Entries per scanned block, 64 KB per int64 temporary: 2^13 // 2^n rows.
+_SCAN_ELEMENTS = 1 << 13
+
 
 @dataclass(frozen=True)
 class ClimbEvent:
@@ -67,7 +89,9 @@ class SearchResult:
 
     `final` equals `initial` with the event swaps applied in order and admits
     no single weight-differing swap that strictly increases the CCV key.
-    evaluations counts candidate CCV evaluations; passes counts full scans.
+    evaluations counts candidate CCV evaluations: in each scan, the
+    weight-differing pairs up to and including the accepted one, or all of
+    them if none is accepted.  passes counts full scans.
     """
 
     initial: SBox
@@ -96,20 +120,31 @@ def _convolve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _correlate(spectra[0] * spectra[1])
 
 
-def _gains(h: np.ndarray, s: np.ndarray, g: np.ndarray, i: int, js: np.ndarray) -> np.ndarray:
-    """Change of sum(S^2) for swapping i with each j in js (0 at equal weights)."""
-    delta = h[js] - h[i]
-    return 8 * delta * (3 * delta * s[i ^ js] - 4 * delta**3 + g[js] - g[i])
+def _gains(h, s, g, positions, i: int, rows: int, j_next: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, gain / 8) of swapping each row i..i+rows-1, cut at row 2^n-2,
+    with each column j_next..2^n-1, for int64 arrays h, S, G and arange
+    `positions`.  Entries with j <= row get delta 0 and so gain 0; a block of
+    more than one row must start at j_next = i + 1."""
+    rows = min(rows, h.size - 1 - i)
+    delta = h[j_next:] - h[i : i + rows, None]
+    if rows > 1:
+        delta[:, :rows] *= positions[:rows] >= positions[:rows, None]
+    eighth = 3 * s[positions[j_next:] ^ positions[i : i + rows, None]] - 4 * delta * delta
+    eighth *= delta
+    eighth += g[j_next:] - g[i : i + rows, None]
+    eighth *= delta
+    return delta, eighth
 
 
-def _swap(h: np.ndarray, s: np.ndarray, g: np.ndarray, i: int, j: int) -> None:
+def _swap(h, s, g, positions, i: int, j: int) -> None:
     """Apply the swap (i, j) to h, S and G in place, in O(2^n)."""
-    x = np.arange(h.size)
     delta = int(h[j] - h[i])
-    ds = 4 * delta * (h[j ^ x] - h[i ^ x])
+    at_i, at_j = positions ^ i, positions ^ j
+    dh = 4 * delta * (h[positions ^ (i ^ j)] - h)
+    g += 3 * delta * (dh + s[at_i] - s[at_j])
+    g[i], g[j] = g[i] - 8 * delta**3, g[j] + 8 * delta**3
+    ds = dh[at_i]
     ds[0] = ds[i ^ j] = 0
-    g += 3 * delta * (s[x ^ i] - s[x ^ j]) - 4 * delta * delta * (h - h[x ^ i ^ j])
-    g += delta * (ds[x ^ i] - ds[x ^ j])
     s += ds
     h[i], h[j] = h[j], h[i]
 
@@ -122,45 +157,33 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
 
     table = initial.table.copy()
     h = np.bitwise_count(table).astype(np.int64)
-    profile = kappa_profile(initial)
-    s = profile.copy()
+    s = kappa_profile(initial).copy()
     g = _convolve(h, s)
-    key = ccv_key_from_profile(profile)
+    key = ccv_key_from_profile(s)
     positions = np.arange(size)
+    most_rows = max(1, _SCAN_ELEMENTS >> n)
 
     events: list[ClimbEvent] = []
-    evaluations = 0
-    passes = 0
-
-    improved = True
-    while improved:
-        improved = False
+    evaluations, passes, climbs = 0, 0, -1
+    while climbs < len(events):  # until a pass accepts nothing
+        climbs = len(events)
         passes += 1
-        for i in range(size - 1):
-            j_next = i + 1
-            while j_next < size:
-                js = positions[j_next:]
-                gains = _gains(h, s, g, i, js)
-                better = np.flatnonzero(gains > 0)
-                # Candidates are the weight-differing pairs up to the first accepted.
-                scanned = int(better[0]) + 1 if better.size else js.size
-                evaluations += int(np.count_nonzero(h[j_next : j_next + scanned] != h[i]))
-                if better.size == 0:
-                    break
-                first = scanned - 1
-                j = j_next + first
+        i, j_next, rows = 0, 1, 1
+        while i < size - 1:
+            delta, eighth = _gains(h, s, g, positions, i, rows, j_next)
+            better = (eighth > 0).ravel()
+            first = int(better.argmax())
+            scanned = first + 1 if better[first] else better.size
+            evaluations += int(np.count_nonzero(delta.ravel()[:scanned]))
+            if not better[first]:
+                i, j_next, rows = i + rows, i + rows + 1, min(2 * rows, most_rows)
+                continue
+            row, column = divmod(first, size - j_next)
+            i, j = i + row, j_next + column
+            _swap(h, s, g, positions, i, j)
+            table[i], table[j] = table[j], table[i]
+            key = CcvKey(n, key.sum_s, key.sum_s2 + 8 * int(eighth.flat[first]))
+            events.append(ClimbEvent(len(events) + 1, i, j, key))
+            i, j_next, rows = (i, j + 1, 1) if j + 1 < size else (i + 1, i + 2, 1)
 
-                _swap(h, s, g, i, j)
-                table[i], table[j] = table[j], table[i]
-                key = CcvKey(n, key.sum_s, key.sum_s2 + int(gains[first]))
-                events.append(ClimbEvent(len(events) + 1, i, j, key))
-                improved = True
-                j_next = j + 1
-
-    return SearchResult(
-        initial=initial,
-        final=SBox(n, n, table),
-        events=tuple(events),
-        evaluations=evaluations,
-        passes=passes,
-    )
+    return SearchResult(initial, SBox(n, n, table), tuple(events), evaluations, passes)

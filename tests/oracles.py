@@ -8,10 +8,12 @@ be compared exactly.  `walsh_hadamard_direct` is the transform as one
 product with the full sign matrix.  `swap_deltas` scores a swap by updating
 the profile term by term, O(2^n) per candidate; `ccv_incremental` and the
 climber `ls_hwf_batched` are built on it, and the search's closed-form gain
-and O(2^n) update are checked against them.  `hw_class_shuffle_reference`
-states the draw contract of the package's class shuffle on a plain table.
-The frozen AES constants at the bottom were computed with the exact-rational
-version of these oracles before the package was built.
+and O(2^n) update are checked against them.  `ls_hwf_rows` is the search's
+scan one row at a time, the reference for its block scan.
+`hw_class_shuffle_reference` states the draw contract of the package's class
+shuffle on a plain table.  The frozen AES constants at the bottom were
+computed with the exact-rational version of these oracles before the package
+was built.
 """
 
 import numpy as np
@@ -248,6 +250,57 @@ def ls_hwf_batched(table, n: int):
                 table[i], table[j] = table[j], table[i]
                 h[i], h[j] = h[j], h[i]
                 events.append((i, j, n, sum_s, sum_s2, key))
+                improved = True
+                j_next = j + 1
+    return events, evaluations, passes, tuple(table)
+
+
+def ls_hwf_rows(table, n: int):
+    """LS-HWF from a given initial table, one row of candidates at a time.
+
+    Row i's pairs (i, j), j >= j_next, are scored by the closed-form gain in
+    one vector expression and the first positive one is accepted; the
+    profile and the convolution are updated by the swap-update formula
+    written out term by term, from the direct profile and convolution.
+    Returns what `ls_hwf_batched` returns.
+    """
+    size = 1 << n
+    table = list(table)
+    h = np.array([hw(v) for v in table], dtype=np.int64)
+    s = kappa_profile_direct(table, n)
+    g = xor_convolution_direct(h, s)
+    sum_s = int(s.sum())
+    sum_s2 = int((s**2).sum())
+    positions = np.arange(size)
+    events = []
+    evaluations = passes = 0
+    improved = True
+    while improved:
+        improved = False
+        passes += 1
+        for i in range(size - 1):
+            j_next = i + 1
+            while j_next < size:
+                js = positions[j_next:]
+                delta = h[js] - h[i]
+                gains = 8 * delta * (3 * delta * s[i ^ js] - 4 * delta**3 + g[js] - g[i])
+                better = np.flatnonzero(gains > 0)
+                scanned = int(better[0]) + 1 if better.size else js.size
+                evaluations += int(np.count_nonzero(h[j_next : j_next + scanned] != h[i]))
+                if better.size == 0:
+                    break
+                j = j_next + scanned - 1
+                x = positions
+                d = int(h[j] - h[i])
+                ds = 4 * d * (h[j ^ x] - h[i ^ x])
+                ds[0] = ds[i ^ j] = 0
+                g += 3 * d * (s[x ^ i] - s[x ^ j]) - 4 * d * d * (h - h[x ^ i ^ j])
+                g += d * (ds[x ^ i] - ds[x ^ j])
+                s += ds
+                h[i], h[j] = h[j], h[i]
+                table[i], table[j] = table[j], table[i]
+                sum_s2 += int(gains[scanned - 1])
+                events.append((i, j, n, sum_s, sum_s2, (size - 1) * sum_s2 - sum_s * sum_s))
                 improved = True
                 j_next = j + 1
     return events, evaluations, passes, tuple(table)

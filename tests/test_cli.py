@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -429,6 +430,67 @@ class TestInputsCheckedFirst:
         argv = ["experiment", "--n", huge, "--metric", "to", "--out-dir", str(tmp_path / "D")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class _RefusingFile:
+    """A file opened for writing whose every write is refused."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, _text):
+        raise PermissionError(13, "Permission denied")
+
+
+@pytest.fixture
+def refuse_writes(monkeypatch):
+    """Call to make every file the CLI then opens for writing refuse its writes."""
+    import builtins
+
+    import sboxtraj.cli as cli_mod
+
+    def refusing_open(path, mode="r", **kwargs):
+        fh = builtins.open(path, mode, **kwargs)
+        return _RefusingFile(fh) if "w" in mode else fh
+
+    return lambda: monkeypatch.setattr(cli_mod, "open", refusing_open, raising=False)
+
+
+class TestWriteFailures:
+    """A write the file system refuses is an error on stderr, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-climbs"])
+    def test_search(self, flag, tmp_path, capsys, refuse_writes):
+        refuse_writes()
+        out = tmp_path / "f.txt"
+        assert main(["search", "--n", "4", flag, str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: Permission denied")
+
+    def test_experiment(self, tmp_path, capsys, refuse_writes):
+        refuse_writes()
+        assert TestExperimentCommand().run_small(tmp_path / "exp") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'exp' / 'trajectories.csv'}: ")
+
+    def test_export_plot(self, tmp_path, capsys, refuse_writes):
+        exp = tmp_path / "exp"
+        assert TestExperimentCommand().run_small(exp) == 0
+        refuse_writes()
+        out = tmp_path / "p.dat"
+        assert main(["export-plot", "--in", str(exp), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="needs a Linux procfs")
+    @pytest.mark.parametrize("flag", ["--out", "--emit-climbs"])
+    def test_directory_that_takes_no_file(self, flag, capsys):
+        assert main(["search", "--n", "4", flag, "/proc/self/x.txt"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write /proc/self/x.txt: ")
 
 
 GOLDEN_EXPERIMENTS = {

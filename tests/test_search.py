@@ -13,10 +13,11 @@ from sboxtraj import (
     random_bijective_sbox,
     swap_outputs,
 )
+import sboxtraj.search as search_mod
 from sboxtraj.search import _convolve, _gains, _swap, check_search_width
 
 from builders import bijection_and_draws
-from oracles import hw, ls_hwf_batched, swap_deltas, xor_convolution_direct
+from oracles import hw, ls_hwf_batched, ls_hwf_rows, swap_deltas, xor_convolution_direct
 
 
 def exhaustively_locally_optimal(sbox):
@@ -144,12 +145,51 @@ class TestLsHwf:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_oracle_climber(self, n):
         for seed in range(3):
-            result = ls_hwf(n, RngStream(seed, (n,)))
-            events, evaluations, passes, final = ls_hwf_batched(result.initial.table.tolist(), n)
-            got = [(e.i, e.j, e.ccv_key_after) for e in result.events]
-            assert [(i, j, k.n, k.sum_s, k.sum_s2, k.key) for i, j, k in got] == events
-            assert (result.evaluations, result.passes) == (evaluations, passes)
-            assert tuple(result.final.table.tolist()) == final
+            assert_climb_equals(ls_hwf(n, RngStream(seed, (n,))), n, ls_hwf_batched)
+
+
+def assert_climb_equals(result, n, climber):
+    """The search's events, counts and final table equal those of an oracle
+    climber run from its initial table."""
+    events, evaluations, passes, final = climber(result.initial.table.tolist(), n)
+    got = [(e.i, e.j, e.ccv_key_after) for e in result.events]
+    assert [(i, j, k.n, k.sum_s, k.sum_s2, k.key) for i, j, k in got] == events
+    assert (result.evaluations, result.passes) == (evaluations, passes)
+    assert tuple(result.final.table.tolist()) == final
+
+
+class TestBlockScan:
+    """Scanning blocks of rows at once gives the row-by-row climb."""
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_matches_row_reference(self, n):
+        assert_climb_equals(ls_hwf(n, RngStream(n, (22,))), n, ls_hwf_rows)
+
+    @pytest.mark.parametrize("budget_rows", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_matches_row_reference_at_small_budgets(self, n, budget_rows, monkeypatch):
+        size = 1 << n
+        monkeypatch.setattr(search_mod, "_SCAN_ELEMENTS", budget_rows << n)
+        blocks = []
+
+        def spy(h, s, g, positions, i, rows, j_next):
+            blocks.append((i, rows, j_next))
+            return _gains(h, s, g, positions, i, rows, j_next)
+
+        monkeypatch.setattr(search_mod, "_gains", spy)
+        last_column = cut = False
+        for seed in range(4):
+            blocks.clear()
+            result = ls_hwf(n, RngStream(seed, (n, budget_rows)))
+            assert_climb_equals(result, n, ls_hwf_rows)
+            assert max(rows for _i, rows, _j in blocks) == budget_rows
+            assert all(rows == 1 or j_next == i + 1 for i, rows, j_next in blocks)
+            last_column |= any(e.j == size - 1 for e in result.events)
+            cut |= any(i + rows > size - 1 for i, rows, _j in blocks)
+        # Accepting at j = 2^n - 1 moves the scan to the next row's head; a
+        # block that would run past row 2^n - 2 is cut there.
+        assert last_column
+        assert cut == (budget_rows > 1)
 
 
 class TestSwapKernel:
@@ -168,24 +208,53 @@ class TestSwapKernel:
         assert np.array_equal(g, xor_convolution_direct(h, s))
         positions = np.arange(sbox.size)
         for i in range(sbox.size - 1):
-            js = positions[i + 1 :][h[i + 1 :] != h[i]]
-            if js.size == 0:
+            js = positions[i + 1 :]
+            delta, eighth = _gains(h, s, g, positions, i, 1, i + 1)
+            assert delta.shape == eighth.shape == (1, js.size)
+            assert np.array_equal(delta[0], h[js] - h[i])
+            differ = delta[0] != 0
+            assert not eighth[0][~differ].any()
+            if not differ.any():
                 continue
-            _ds, dsum, dsum2 = swap_deltas(h, s, i, js)
+            _ds, dsum, dsum2 = swap_deltas(h, s, i, js[differ])
             assert not dsum.any()
-            assert np.array_equal(_gains(h, s, g, i, js), dsum2)
+            assert np.array_equal(8 * eighth[0][differ], dsum2)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_block_equals_its_rows(self, n):
+        """Each row of a block, and a row scanned from mid-row, equals that
+        row scanned alone, with every pair j <= row masked to 0."""
+        sbox = random_bijective_sbox(n, RngStream(n, (7,)))
+        h, s, g = self.state(sbox)
+        size = sbox.size
+        positions = np.arange(size)
+        alone = [_gains(h, s, g, positions, i, 1, i + 1) for i in range(size - 1)]
+        for rows in (2, 3, size - 1):
+            for i in range(size - 1):
+                delta, eighth = _gains(h, s, g, positions, i, rows, i + 1)
+                assert delta.shape == eighth.shape == (min(rows, size - 1 - i), size - 1 - i)
+                for r in range(delta.shape[0]):
+                    assert not delta[r, :r].any() and not eighth[r, :r].any()
+                    assert np.array_equal(delta[r, r:], alone[i + r][0][0])
+                    assert np.array_equal(eighth[r, r:], alone[i + r][1][0])
+        for i in range(size - 2):
+            for j_next in range(i + 2, size):
+                delta, eighth = _gains(h, s, g, positions, i, 1, j_next)
+                assert np.array_equal(delta[0], alone[i][0][0][j_next - i - 1 :])
+                assert np.array_equal(eighth[0], alone[i][1][0][j_next - i - 1 :])
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_update_equals_recompute(self, n):
         sbox, rnd = bijection_and_draws(n, n, (6,))
         h, s, g = self.state(sbox)
+        positions = np.arange(sbox.size)
         swaps = 0
         while swaps < 6:
             i, j = rnd.randrange(sbox.size), rnd.randrange(sbox.size)
             if h[i] == h[j]:
                 continue
             swaps += 1
-            _swap(h, s, g, i, j)
+            _swap(h, s, g, positions, i, j)
             sbox = swap_outputs(sbox, i, j)
             assert np.array_equal(h, [hw(v) for v in sbox.table])
             assert np.array_equal(s, kappa_profile(sbox))
