@@ -181,7 +181,8 @@ def swap_outputs(sbox: SBox, i: int, j: int) -> SBox:
         raise IndexOutOfRangeError("swap positions must differ")
     table = sbox.table.copy()
     table[[i, j]] = table[[j, i]]
-    return SBox(sbox.n, sbox.m, table)
+    table.flags.writeable = False
+    return SBox._valid(sbox.n, sbox.m, table)
 
 
 @functools.cache

@@ -171,18 +171,19 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
         i, j_next, rows = 0, 1, 1
         while i < size - 1:
             delta, eighth = _gains(h, s, g, positions, i, rows, j_next)
-            better = (eighth > 0).ravel()
-            first = int(better.argmax())
-            scanned = first + 1 if better[first] else better.size
+            first = int((eighth > 0).argmax())
+            g8 = int(eighth.flat[first])
+            scanned = first + 1 if g8 > 0 else eighth.size
             evaluations += int(np.count_nonzero(delta.ravel()[:scanned]))
-            if not better[first]:
+            del delta, eighth  # before the swap's and the next block's temporaries
+            if g8 <= 0:
                 i, j_next, rows = i + rows, i + rows + 1, min(2 * rows, most_rows)
                 continue
             row, column = divmod(first, size - j_next)
             i, j = i + row, j_next + column
             _swap(h, s, g, positions, i, j)
             table[i], table[j] = table[j], table[i]
-            key = CcvKey(n, key.sum_s, key.sum_s2 + 8 * int(eighth.flat[first]))
+            key = CcvKey(n, key.sum_s, key.sum_s2 + 8 * g8)
             events.append(ClimbEvent(len(events) + 1, i, j, key))
             i, j_next, rows = (i, j + 1, 1) if j + 1 < size else (i + 1, i + 2, 1)
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .metrics import metric_value
@@ -25,11 +25,6 @@ from .search import check_search_width, ls_hwf
 
 # The metrics the experiment correlates with CCV; see metrics.metric_value.
 METRICS = ("to", "mto0", "rto0")
-
-# Sample members per metric_value call in _run_trajectory, which bounds the
-# memory of a call; sample_equal_ccv sizes its hw_class_shuffle calls in
-# bytes instead (sbox.shuffle_lanes).
-_LANES = 256
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -92,12 +87,6 @@ def _mean(values: list[float]) -> float:
     return _sum(values) / len(values)
 
 
-def _chunks(items: Iterator, length: Callable) -> Iterator[list]:
-    """Lists of the next length(first item) items, the last shorter."""
-    for first in items:
-        yield [first, *itertools.islice(items, length(first) - 1)]
-
-
 def sample_equal_ccv(
     fstars: Iterable[SBox], size: int, rngs: Iterable[RngStream]
 ) -> Iterator[SBox]:
@@ -106,22 +95,29 @@ def sample_equal_ccv(
 
     Member s of sample k is an independent weight-class shuffle of the k-th
     S-box, drawn from the k-th stream's child(s); duplicates are permitted.
-    Both inputs are read lazily and must have the same length (ValueError
-    when the members are taken).  Members are shuffled as many per call as
-    sbox.shuffle_lanes allows, so the S-boxes must have the same class
-    sizes.  A size-1 sample is the S-box itself, matching the
-    revised-transparency-order protocol.
+    Both inputs are read lazily, one call's worth at a time, and must have
+    the same length (ValueError when the members are taken).  Members are
+    shuffled as many per call as sbox.shuffle_lanes allows, so the S-boxes
+    must have the same class sizes.  A size-1 sample is the S-box itself,
+    matching the revised-transparency-order protocol.
     """
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
+    return itertools.chain.from_iterable(_sample_calls(fstars, size, rngs))
+
+
+def _sample_calls(
+    fstars: Iterable[SBox], size: int, rngs: Iterable[RngStream]
+) -> Iterator[list[SBox]]:
+    """The members of sample_equal_ccv for size >= 1, one hw_class_shuffle
+    call of shuffle_lanes(n) lanes at a time, across samples; for size 1,
+    shuffle_lanes(n) of the S-boxes themselves at a time."""
     pairs = zip(fstars, rngs, strict=True)
-    if size == 1:
-        return (fstar for fstar, _ in pairs)
-    lanes = ((fstar, rng.child(s)) for fstar, rng in pairs for s in range(size))
-    return itertools.chain.from_iterable(
-        hw_class_shuffle([fstar for fstar, _ in call], [rng for _, rng in call])
-        for call in _chunks(lanes, lambda lane: shuffle_lanes(lane[0].n))
-    )
+    lanes = pairs if size == 1 else ((f, rng.child(s)) for f, rng in pairs for s in range(size))
+    for first in lanes:
+        call = [first, *itertools.islice(lanes, shuffle_lanes(first[0].n) - 1)]
+        sboxes = [fstar for fstar, _ in call]
+        yield sboxes if size == 1 else hw_class_shuffle(sboxes, [rng for _, rng in call])
 
 
 def pearson(points: list[TrajectoryPoint]) -> float:
@@ -162,11 +158,11 @@ def _run_trajectory(
     )
     next(incumbents)  # the initial S-box, before the first climb
     rngs = (RngStream(master_seed, (run_id, event.climb_index)) for event in result.events)
-    members = sample_equal_ccv(incumbents, sample_size, rngs)
-    # The metric takes _LANES members per call, across samples: a batch of a
-    # sample's few members would leave most of the per-call cost unshared.
+    # The metric scores each of the sampler's calls whole, across samples: a
+    # sample's few members alone would leave most of the per-call cost
+    # unshared, and the call's size already bounds its memory.
     values = itertools.chain.from_iterable(
-        metric_value(batch, metric) for batch in _chunks(members, lambda _: _LANES)
+        metric_value(call, metric) for call in _sample_calls(incumbents, sample_size, rngs)
     )
     samples = (list(itertools.islice(values, sample_size)) for _ in result.events)
     # The sample is CCV-constant by construction, so the mean CCV is the

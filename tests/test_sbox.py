@@ -292,6 +292,27 @@ class TestSwapOutputs:
         assert sbox.table.tolist() == before
         assert sorted(swapped.table.tolist()) == sorted(before) == list(range(16))
 
+    @pytest.mark.parametrize(
+        "sbox",
+        [
+            random_bijective_sbox(8, RngStream(3)),
+            SBox(5, 3, random.Random(5).choices(range(8), k=32)),
+        ],
+        ids=["bijection-8", "non-bijective-5-3"],
+    )
+    def test_result_is_a_read_only_copy(self, sbox):
+        # The result is built without a check; it must be the S-box that
+        # checking the swapped table builds, on its own read-only memory.
+        values = sbox.table.tolist()
+        i, j = 0, next(j for j, v in enumerate(values) if v != values[0])
+        values[i], values[j] = values[j], values[i]
+        swapped = swap_outputs(sbox, i, j)
+        want = SBox(sbox.n, sbox.m, values)
+        assert not swapped.table.flags.writeable
+        assert not np.shares_memory(swapped.table, sbox.table)
+        assert swapped.table.dtype == want.table.dtype
+        assert swapped == want and hash(swapped) == hash(want)
+
     @pytest.mark.parametrize("i,j", [(0, 0), (-1, 2), (0, 4)])
     def test_bad_positions(self, i, j):
         with pytest.raises(IndexOutOfRangeError):

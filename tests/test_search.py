@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,30 @@ from sboxtraj.search import _convolve, _gains, _swap, check_search_width
 
 from builders import bijection_and_draws
 from oracles import hw, ls_hwf_batched, ls_hwf_rows, swap_deltas, xor_convolution_direct
+
+
+# Seconds a test may run: ls_hwf trusts its gains, so a broken swap update
+# can climb without end instead of failing.
+TIME_BOUND = 120
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail a test that runs past TIME_BOUND seconds, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TIME_BOUND} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def exhaustively_locally_optimal(sbox):
@@ -141,6 +166,20 @@ class TestLsHwf:
         assert result.events
         assert ccv_key(result.final) == result.events[-1].ccv_key_after
         assert peak < 16 * 2**20
+
+    def test_scan_temporaries_do_not_outlive_their_block(self):
+        # At n = 9 a block's int64 temporaries are 64 KB each (_SCAN_ELEMENTS
+        # entries); beyond what the result keeps, a search holds at most six
+        # at once (330 KB measured), so no block's arrays live on through the
+        # swap and the next block.
+        tracemalloc.start()
+        try:
+            result = ls_hwf(9, RngStream(9, (9,)))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.events
+        assert peak - current <= 6 * 8 * search_mod._SCAN_ELEMENTS
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_oracle_climber(self, n):

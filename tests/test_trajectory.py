@@ -313,26 +313,40 @@ class TestRunExperiment:
         assert len(values) + len(summary.degenerate_runs) == summary.runs
 
     def test_chunking_is_invisible(self, monkeypatch):
-        # Sampler and metric calls of 1, 3, 7 and 14 lanes split samples
-        # across calls and mix incumbents in one call, and give one summary.
-        # The sampler's calls are sized by the bytes a lane takes.
-        sizes = []
+        # Sampler calls of 1, 3, 7 and 14 lanes split samples across calls
+        # and mix incumbents in one call, and give one summary.  The metric
+        # scores each sampler call whole; size-1 samples go to it
+        # shuffle_lanes(n) incumbents at a time.
+        shuffled, scored = [], []
 
         def shuffle(sboxes, rngs):
-            sizes.append(len(sboxes))
+            shuffled.append(len(sboxes))
             return hw_class_shuffle(sboxes, rngs)
 
+        def metric(sboxes, name):
+            scored.append(len(sboxes))
+            return metric_value(sboxes, name)
+
         per_output, per_lane = sbox_module._LANE_BYTES
-        for metric in ("to", "mto0"):
-            want = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
+        for metric_name, sample_size in (("to", 7), ("mto0", 7), ("rto0", 1)):
+            args = dict(n=5, metric=metric_name, runs=3, sample_size=sample_size, master_seed=6)
+            want = run_experiment(**args)
+            climbs = [len(t.points) for t in want.trajectories]
             for lanes in (1, 3, 7, 14):
-                monkeypatch.setattr(trajectory_module, "_LANES", lanes)
                 monkeypatch.setattr(sbox_module, "_CALL_BYTES", lanes * ((per_output << 5) + per_lane))
                 monkeypatch.setattr(trajectory_module, "hw_class_shuffle", shuffle)
-                sizes.clear()
-                got = run_experiment(n=5, metric=metric, runs=3, sample_size=7, master_seed=6)
-                assert got == want, (metric, lanes)
-                assert max(sizes) == lanes and sizes.count(lanes) >= len(sizes) - 3
+                monkeypatch.setattr(trajectory_module, "metric_value", metric)
+                shuffled.clear()
+                scored.clear()
+                assert run_experiment(**args) == want, (metric_name, lanes)
+                # Each run's members, cut into calls of `lanes`.
+                calls = [
+                    min(lanes, members - start)
+                    for members in (sample_size * k for k in climbs)
+                    for start in range(0, members, lanes)
+                ]
+                assert scored == calls, (metric_name, lanes)
+                assert shuffled == (calls if sample_size > 1 else []), (metric_name, lanes)
             monkeypatch.undo()
 
     def test_large_sample_memory_is_bounded(self):
