@@ -1,8 +1,8 @@
 """Side-channel resistance metrics: CCV, TO, MTO, RTO.
 
 All four metrics reduce to integer sums over the S-box table, so every
-function here accumulates in exact integer arithmetic and divides once at the
-end; results are deterministic to the bit.
+function here accumulates exact integers and divides once at the end; results
+are deterministic to the bit.
 
 Component i of an S-box output is bit i (least-significant first), and bit i
 of a pre-charge value beta addresses the same component.
@@ -31,7 +31,7 @@ bit clear, and one sweep (`_precharge_sweep`) yields both: for each
 representative, inner[j] = sum_i (-1)^b_i C[i, j] for MTO and the
 autocorrelation A = sum_j (-1)^b_j inner[j] of u for RTO.  The sweep holds a
 block of 2^L rows, one per setting of the low L signs, with L as large as
-`_SWEEP_ELEMENTS` allows (L = 0 at n = m = 16), and walks the other signs
+`_BLOCK_BYTES` allows (L = 0 at n = m = 16), and walks the other signs
 in Gray-code order.  Flipping sign k, of value s, adds -2 s C[k] to inner
 and, since C[i, j] = C[j, i], -4 s inner[k] + 4 C[k, k] to A: O(m 2^n) and
 O(2^n) per row and step, with no product by the signs.  Each entry of C is
@@ -45,28 +45,41 @@ a one-entry cache keyed on the S-box's value, so `mto` and `rto` of one
 S-box share one table and one sweep.  The tests check every metric against
 direct summation.
 
-Exactness.  `_fwht_rows` computes in float64, where every partial sum of a
-row's transform is a +-sum of a subset of the row's entries; with integer
-entries nothing rounds while sum |row| < 2^53, and the kernel raises when a
-row reaches it.  The forward transforms have sum |s_i| = 2^n.  Parseval
-(sum_a W_i[a]^2 = 4^n, sum_a W_u[a]^2 <= m^2 4^n) and Cauchy-Schwarz bound
-each inverse row: 4^n for the table, m 4^n for TO and MTO and m^2 4^n for
-RTO and the CCV profile.  At n = m = 16, the largest widths, that is 2^32,
-2^36 and 2^40, all below 2^53, and every int64 product and result is
-smaller still.  In the sweep |C| <= 2^n, so |inner| <= m 2^n and
-|A| <= m^2 2^n, 2^20 and 2^24, and a row's total over a and j is below
-m^2 4^n = 2^40: all far inside int64.
+Exactness.  The path from the signs to the totals runs in one float dtype,
+`_dtype(n, m)`: float32 when m^2 4^n < 2^24, else float64, so float32 at
+n = m = 8 and float64 at n = m = 16.  `_signs` builds the signs in it
+straight from the uint16 table.  `_fwht_rows` keeps a float32 or float64
+input's dtype (integers go to float64); every partial sum of a row's
+transform is a +-sum of a subset of the row's entries, so with integer
+entries nothing rounds while sum |row| < 2^(mantissa bits + 1), 2^24 in
+float32 and 2^53 in float64, and the kernel raises when a row reaches it.
+`_correlate` divides by the row length, a power of two, exactly.  The
+forward transforms have sum |s_i| = 2^n.  Parseval (sum_a W_i[a]^2 = 4^n,
+sum_a W_u[a]^2 <= m^2 4^n) and Cauchy-Schwarz bound each inverse row: 4^n
+for the table, m 4^n for TO and MTO and m^2 4^n for RTO and the CCV
+profile.  Every other value on the path is an integer no larger: the
+spectra (|W_i| <= 2^n, |W_u| <= m 2^n), an entry of a product of spectra
+(at most its row's sum) and, as |C| <= 2^n, a block's totals, sums of
+|value| over a and j: at most m 4^n for TO and m^2 4^n for MTO and RTO.
+So m^2 4^n bounds them all: below 2^24 in float32 by the rule, and at most
+2^40 < 2^53 in float64 (n = m = 16, where the row bounds are 2^32, 2^36
+and 2^40).  Only the table C, the CCV profile and each block's totals
+become int64, and every int64 product and result is smaller still.  In the
+sweep |C| <= 2^n, so |inner| <= m 2^n and |A| <= m^2 2^n, 2^20 and 2^24,
+and a row's total over a and j is below m^2 4^n = 2^40: all far inside
+int64.
 
 Batches.  `transparency_order`, `mto_beta`, `rto_beta` and the two beta = 0
 forms take one S-box or a sequence of S-boxes of one (n, m).  The arrays
 above then carry the members on a leading axis: the spectra of k S-boxes are
 (k, m, 2^n), components on axis -2, and each metric reduces them to k
-totals.  `_stack_scores` scores a sequence in blocks of at most
-`_SWEEP_ELEMENTS` int64 entries (k m 2^n, so 16 S-boxes at n = m = 8),
-which keeps a block's temporaries in cache as the sweep's are; one S-box is
-a block of one through the same code.  The bounds above hold row by row, so
-a stack changes none of them, and each total becomes a Python int before
-`_score`: a value is bit-identical however its S-box was batched.
+totals.  `_stack_scores` scores a sequence in blocks whose spectra (k m 2^n
+entries) take at most `_BLOCK_BYTES` = 256 KiB, the bound of the sweep's
+blocks too: 32 S-boxes at n = m = 8 in float32, 16 in float64.  That keeps a
+block's temporaries in cache; one S-box is a block of one through the same
+code.  The bounds above hold row by row, so a stack changes none of them,
+and each block's totals become int64, then Python ints, before `_score`: a
+value is bit-identical however its S-box was batched.
 
 `_METRICS` is the one map from a metric name to its function; the CLI and the
 experiment driver evaluate it through `metric_value`, which takes one S-box
@@ -82,30 +95,37 @@ import numpy as np
 
 from .sbox import SBox
 
-# Largest number of int64 entries (256 KB) in one block of work: the
-# pre-charge rows that `_precharge_sweep` updates together, or the stacked
-# spectra (members x m x 2^n) that `_stack_scores` scores together.  It is
-# the one cache bound of the module: larger blocks leave the cache.
-_SWEEP_ELEMENTS = 1 << 15
+# Largest number of bytes (256 KiB) in one block of work: the pre-charge
+# rows that `_precharge_sweep` updates together, or the stacked spectra
+# (members x m x 2^n) that `_stack_scores` scores together.  It is the one
+# cache bound of the module: larger blocks leave the cache.
+_BLOCK_BYTES = 1 << 18
 
 
-def _signs(values, m: int) -> np.ndarray:
-    """(-1)^(bit i of v) as int64 for i < m: shape (m,) for one integer, and
-    (..., m, 2^n) for a table or a stack of tables (..., 2^n), component i
-    on axis -2."""
-    shifts = np.arange(m)
+def _dtype(n: int, m: int) -> type:
+    """The dtype of the metric path at (n, m): float32 when m^2 4^n, the
+    largest bound of the module, is below 2^24, else float64."""
+    return np.float32 if (m * m) << (2 * n) < 1 << 24 else np.float64
+
+
+def _signs(values, m: int, dtype) -> np.ndarray:
+    """(-1)^(bit i of v) in `dtype` for i < m: shape (m,) for one integer,
+    and (..., m, 2^n) for a uint16 table or a stack of tables (..., 2^n),
+    component i on axis -2."""
+    shifts = np.arange(m, dtype=np.uint16)
     if np.ndim(values):
         values, shifts = values[..., None, :], shifts[:, None]
-    return 1 - 2 * ((values >> shifts) & 1)
+    bits = (values >> shifts) & 1
+    return np.subtract(1, bits + bits, dtype=dtype)
 
 
 @functools.cache
-def _hadamard(k: int) -> np.ndarray:
-    """The read-only float64 Sylvester Hadamard matrix of order 2^k."""
+def _hadamard(k: int, dtype) -> np.ndarray:
+    """The read-only Sylvester Hadamard matrix of order 2^k in `dtype`."""
     if k == 0:
-        h = np.ones((1, 1))
+        h = np.ones((1, 1), dtype=dtype)
     else:
-        half = _hadamard(k - 1)
+        half = _hadamard(k - 1, dtype)
         h = np.block([[half, half], [half, -half]])
     h.flags.writeable = False
     return h
@@ -113,39 +133,48 @@ def _hadamard(k: int) -> np.ndarray:
 
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (natural ordering,
-    unscaled) as a new int64 array, exactly.
+    unscaled) as a new array, exactly: float32 for float32 input, float64
+    for any other.
 
     Self-inverse up to a factor of the row length.  A row of length 2^n,
     reshaped to X of shape (2^(n - lo), 2^lo) with lo = n // 2, transforms to
-    H_(n - lo) X H_lo, two float64 matrix products with Sylvester factors.
-    Raises OverflowError unless every row has sum |row| < 2^53.
+    H_(n - lo) X H_lo, two matrix products with Sylvester factors.  Raises
+    OverflowError unless every row has sum |row| < 2^(mantissa bits + 1) of
+    its dtype: 2^24 in float32, 2^53 in float64.
     """
-    x = np.asarray(mat, dtype=np.float64)
-    # The float64 row sums decide the bound exactly: below 2^53 they are
-    # exact, and rounding, being monotone, keeps a larger sum at least 2^53.
-    if np.abs(x).sum(axis=-1).max() >= 2.0**53:
-        raise OverflowError("a row with sum |row| >= 2^53 has no exact float64 transform")
+    x = np.asarray(mat)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    # The row sums decide the bound exactly: below it they are exact, and
+    # rounding, being monotone, keeps a larger sum at least the bound.
+    bits = np.finfo(x.dtype).nmant + 1
+    if np.abs(x).sum(axis=-1).max() >= 2.0**bits:
+        raise OverflowError(f"a row with sum |row| >= 2^{bits} has no exact {x.dtype} transform")
     n = x.shape[-1].bit_length() - 1
     lo = n // 2
-    y = _hadamard(n - lo) @ x.reshape(-1, 1 << (n - lo), 1 << lo) @ _hadamard(lo)
-    return y.astype(np.int64).reshape(x.shape)
+    y = _hadamard(n - lo, x.dtype.type) @ x.reshape(-1, 1 << (n - lo), 1 << lo)
+    return (y @ _hadamard(lo, x.dtype.type)).reshape(x.shape)
 
 
 def _correlate(product: np.ndarray) -> np.ndarray:
     """The correlation sum_x f(x) g(x^a) whose spectrum W_f W_g is `product`,
-    exactly: the transform is self-inverse up to the row length."""
-    return _fwht_rows(product) // product.shape[-1]
+    exactly, in the transform's dtype: the transform is self-inverse up to
+    the row length, a power of two."""
+    corr = _fwht_rows(product)
+    corr /= product.shape[-1]
+    return corr
 
 
 def _spectra(tables: np.ndarray, m: int) -> np.ndarray:
     """W: the (..., m, 2^n) Walsh-Hadamard spectra of the component signs of
-    a table or a stack of tables (..., 2^n) with m output bits."""
-    return _fwht_rows(_signs(tables, m))
+    a table or a stack of tables (..., 2^n) with m output bits, in the
+    dtype `_dtype` picks for them."""
+    return _fwht_rows(_signs(tables, m, _dtype(tables.shape[-1].bit_length() - 1, m)))
 
 
 def _leakage_spectra(spectra: np.ndarray, beta: int) -> np.ndarray:
     """W_u (..., 2^n) of u = m - 2 HW(F ^ beta): sum_i (-1)^b_i W_i."""
-    return _signs(beta, spectra.shape[-2]) @ spectra
+    return _signs(beta, spectra.shape[-2], spectra.dtype) @ spectra
 
 
 def _leakage_autocorrelation(spectra: np.ndarray, beta: int) -> np.ndarray:
@@ -203,7 +232,7 @@ def kappa_profile(sbox: SBox) -> np.ndarray:
     `ccv_key_from_profile` sums it into a `CcvKey`, which forms the key.
     """
     corr = _leakage_autocorrelation(_spectra(sbox.table, sbox.m), 0)
-    profile = (corr[0] - corr) // 2
+    profile = (corr[0] - corr).astype(np.int64) // 2
     profile.flags.writeable = False
     return profile
 
@@ -254,16 +283,17 @@ def _stack_scores(sboxes: SBox | Iterable[SBox], totals, beta: int = 0) -> float
     sequence of S-boxes of one (n, m); `totals(spectra)` maps spectra
     (k, m, 2^n) to the k totals.
 
-    A sequence is stacked and scored in blocks of at most `_SWEEP_ELEMENTS`
-    int64 entries (members x m x 2^n), at least one member each; one S-box
-    is a stack of one, a view of its table.  Each total becomes a Python int
-    before `_score`, so a value does not depend on its block.  ValueError
+    A sequence is stacked and scored in blocks whose spectra (members x m x
+    2^n entries of the dtype `_dtype` picks) take at most `_BLOCK_BYTES`, at
+    least one member each; one S-box is a stack of one, a view of its
+    table.  A block's totals become int64 and then Python ints before
+    `_score`, so a value does not depend on its block.  ValueError
     for a sequence of mixed widths or a beta that does not fit in m bits;
     an empty sequence gives [].
     """
     if isinstance(sboxes, SBox):
         _check_beta(sboxes, beta)
-        return _score(sboxes, totals(_spectra(sboxes.table[None], sboxes.m)).item())
+        return _score(sboxes, int(totals(_spectra(sboxes.table[None], sboxes.m))[0]))
     sboxes = list(sboxes)
     if not sboxes:
         return []
@@ -271,11 +301,13 @@ def _stack_scores(sboxes: SBox | Iterable[SBox], totals, beta: int = 0) -> float
     if any((sbox.n, sbox.m) != (first.n, first.m) for sbox in sboxes):
         raise ValueError("the S-boxes of a sequence must share n and m")
     _check_beta(first, beta)
-    per_block = max(1, _SWEEP_ELEMENTS // (first.m * first.size))
+    member_bytes = first.m * first.size * np.dtype(_dtype(first.n, first.m)).itemsize
+    per_block = max(1, _BLOCK_BYTES // member_bytes)
     values = []
     for start in range(0, len(sboxes), per_block):
         tables = np.stack([sbox.table for sbox in sboxes[start : start + per_block]])
-        values += [_score(first, total) for total in totals(_spectra(tables, first.m)).tolist()]
+        block_totals = totals(_spectra(tables, first.m)).astype(np.int64)
+        values += [_score(first, total) for total in block_totals.tolist()]
     return values
 
 
@@ -370,8 +402,9 @@ def _flip(bit: int, c, signs, half, quarter) -> None:
 
 def _block_bits(sbox: SBox) -> int:
     """L, the number of low signs one block of the sweep spans: the largest
-    L <= m - 1 with 2^L m 2^n <= _SWEEP_ELEMENTS, else 0."""
-    fit = _SWEEP_ELEMENTS // (sbox.m * sbox.size)
+    L <= m - 1 whose 2^L m 2^n int64 entries take at most _BLOCK_BYTES,
+    else 0."""
+    fit = _BLOCK_BYTES // (sbox.m * sbox.size * np.dtype(np.int64).itemsize)
     return max(0, min(sbox.m - 1, fit.bit_length() - 1))
 
 

@@ -47,10 +47,12 @@ S <= n^2 2^n, G <= n^3 4^n and a gain is below
 8 n^4 4^n + 24 n^4 2^n + 32 n^4, both in int64; `check_search_width` checks
 both before any work.  Every partial result of g8 is at most an eighth of
 the gain bound, and dH and the G update are at most 4 n^2 and
-3 n^3 2^n + 20 n^3, so the gain bound covers them too.  The one-off inverse
-transform of G has sum |W_h W_S| <= n^3 8^n (Cauchy-Schwarz), 2^46.8 at
-n = 12, below the 2^53 up to which the float64 kernel is exact and which the
-kernel checks itself.
+3 n^3 2^n + 20 n^3, so the gain bound covers them too.  G's transforms take
+the int64 h and S, so they run in float64, and `_convolve` turns G back to
+int64.  Its one-off inverse transform `_correlate` has sum |W_h W_S| <=
+n^3 8^n (Cauchy-Schwarz), 2^46.8 at n = 12, below the 2^53 up to which the
+float64 kernel is exact and which the kernel checks itself; the division by
+2^n is exact.
 
 Events record (i, j) and the `CcvKey` after the swap, whose key and CCV are
 formed in `metrics.CcvKey` from the exact sums; the climb only advances
@@ -115,9 +117,9 @@ def check_search_width(n: int) -> None:
 
 
 def _convolve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """G[x] = sum_d h(x^d) s[d], exactly."""
+    """G[x] = sum_d h(x^d) s[d], exactly, as int64."""
     spectra = _fwht_rows(np.stack((h, s)))
-    return _correlate(spectra[0] * spectra[1])
+    return _correlate(spectra[0] * spectra[1]).astype(np.int64)
 
 
 def _gains(h, s, g, positions, i: int, rows: int, j_next: int) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,24 @@ def rto_beta_from_table(c: np.ndarray, beta: int) -> float:
     return _from_total(c, np.abs(outer[1:]).sum())
 
 
+def precharge_extremes_from_table(c: np.ndarray) -> tuple[float, float]:
+    """(full MTO, full RTO): the largest mto_beta and rto_beta off the table
+    over every beta, 2^10 betas at a time.  The signed sums run as float64
+    products, exact since every partial sum is an integer below m^2 4^n."""
+    m, _, size = c.shape
+    rows = c.reshape(m, -1).astype(np.float64)
+    pairs = c.reshape(m * m, size).astype(np.float64)
+    betas = np.arange(1 << m)
+    mto_totals, rto_totals = [], []
+    for start in range(0, 1 << m, 1 << 10):
+        signs = 1 - 2 * ((betas[start : start + (1 << 10), None] >> np.arange(m)) & 1)
+        inner = (signs @ rows).reshape(-1, m, size)
+        mto_totals.append(np.abs(inner[:, :, 1:]).sum(axis=(1, 2)).min())
+        outer = (signs[:, :, None] * signs[:, None, :]).reshape(-1, m * m) @ pairs
+        rto_totals.append(np.abs(outer[:, 1:]).sum(axis=1).min())
+    return _from_total(c, min(mto_totals)), _from_total(c, min(rto_totals))
+
+
 def mto_beta_direct(table, n: int, m: int, beta: int) -> float:
     size = 2**n
     c = cross_correlation_triple_loop(table, n, m)

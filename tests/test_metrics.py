@@ -41,6 +41,7 @@ from oracles import (
     kappa_profile_direct,
     mto_beta_direct,
     mto_beta_from_table,
+    precharge_extremes_from_table,
     rto_beta_direct,
     rto_beta_from_table,
     swap_deltas,
@@ -51,9 +52,9 @@ from oracles import (
 
 REL = 1e-12
 
-# Block budgets of the pre-charge sweep: one row per block, a few rows, and
-# the default.
-SWEEP_BUDGETS = (1, 1 << 9, metrics_mod._SWEEP_ELEMENTS)
+# Block budgets in bytes, of the pre-charge sweep and the stacks: less than
+# one row or member per block, a few rows, and the default.
+SWEEP_BUDGETS = (1, 1 << 12, metrics_mod._BLOCK_BYTES)
 
 
 def aes_sbox():
@@ -71,49 +72,73 @@ def core_cases(n):
 
 
 class TestTransformKernel:
-    """`_fwht_rows` against the direct Hadamard product, for every layout."""
+    """`_fwht_rows` against the direct Hadamard product, for every layout
+    and for float32, float64 and integer input."""
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_direct_product(self, n):
         size = 1 << n
-        block = np.random.default_rng(n).integers(-1000, 1001, size=(2, 3, size))
-        cases = [
-            block[0, 0],  # 1-D
-            block[0],  # 2-D
-            block,  # 3-D
-            np.asfortranarray(block[0]),
-            np.asfortranarray(block),
-            np.ascontiguousarray(block[0].T).T,  # a transposed view
-            block[..., ::-1],  # negative strides
-        ]
-        for mat in cases:
-            before = mat.copy()
-            got = _fwht_rows(mat)
-            assert got.dtype == np.int64 and got.shape == mat.shape
-            assert np.array_equal(got, walsh_hadamard_direct(mat))
-            assert np.array_equal(mat, before)
+        ints = np.random.default_rng(n).integers(-1000, 1001, size=(2, 3, size))
+        for dtype, want_dtype in ((np.float32,) * 2, (np.float64,) * 2, (np.int64, np.float64)):
+            block = ints.astype(dtype)
+            cases = [
+                block[0, 0],  # 1-D
+                block[0],  # 2-D
+                block,  # 3-D
+                np.asfortranarray(block[0]),
+                np.asfortranarray(block),
+                np.ascontiguousarray(block[0].T).T,  # a transposed view
+                block[..., ::-1],  # negative strides
+            ]
+            for mat in cases:
+                before = mat.copy()
+                got = _fwht_rows(mat)
+                assert got.dtype == want_dtype and got.shape == mat.shape
+                assert np.array_equal(got, walsh_hadamard_direct(mat))
+                assert np.array_equal(mat, before)
 
     def test_exact_just_below_float64_bound(self):
-        # sum |row| = 2^53 - 1; the odd results near 2^53 would round if
-        # any partial sum did.
-        row = np.array([2**52 - 1, 2**52, 0, 0, 0, 0, 0, 0], dtype=np.int64)
-        want = walsh_hadamard_direct(row)
-        assert int(np.abs(want).max()) == 2**53 - 1
-        assert np.array_equal(_fwht_rows(row), want)
-        # Each row is checked alone: two rows under the bound are exact even
-        # though their total is not.
-        rows = np.stack((row, -row[::-1]))
-        assert np.array_equal(_fwht_rows(rows), walsh_hadamard_direct(rows))
+        check_exact_just_below(np.int64, 53)
+        check_exact_just_below(np.float64, 53)
 
     def test_raises_at_float64_bound(self):
-        row = np.array([2**52, -(2**51), 2**51, 0], dtype=np.int64)
-        with pytest.raises(OverflowError):
-            _fwht_rows(row)
-        # One row at the bound is enough.
-        with pytest.raises(OverflowError):
-            _fwht_rows(np.stack((np.ones(4, dtype=np.int64), row)))
+        check_raises_at(np.int64, 53)
+        check_raises_at(np.float64, 53)
         with pytest.raises(OverflowError):
             _fwht_rows(np.array([2**62, 0], dtype=np.int64))
+
+    def test_exact_just_below_float32_bound(self):
+        check_exact_just_below(np.float32, 24)
+
+    def test_raises_at_float32_bound(self):
+        row = check_raises_at(np.float32, 24)
+        # The same row as integers transforms in float64, exactly.
+        assert np.array_equal(_fwht_rows(row), walsh_hadamard_direct(row))
+
+
+def check_exact_just_below(dtype, bits):
+    """A row of `dtype` with sum |row| = 2^bits - 1 transforms exactly; the
+    odd results near 2^bits would round if any partial sum did."""
+    row = np.array([2 ** (bits - 1) - 1, 2 ** (bits - 1), 0, 0, 0, 0, 0, 0], dtype=np.int64)
+    want = walsh_hadamard_direct(row)
+    assert int(np.abs(want).max()) == 2**bits - 1
+    assert np.array_equal(_fwht_rows(row.astype(dtype)), want)
+    # Each row is checked alone: two rows under the bound are exact even
+    # though their total is not.
+    rows = np.stack((row, -row[::-1]))
+    assert np.array_equal(_fwht_rows(rows.astype(dtype)), walsh_hadamard_direct(rows))
+
+
+def check_raises_at(dtype, bits):
+    """A row of `dtype` with sum |row| = 2^bits raises, alone or with a row
+    under the bound; returns the row as int64."""
+    row = np.array([2 ** (bits - 1), -(2 ** (bits - 2)), 2 ** (bits - 2), 0], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _fwht_rows(row.astype(dtype))
+    # One row at the bound is enough.
+    with pytest.raises(OverflowError):
+        _fwht_rows(np.stack((np.ones(4, dtype=np.int64), row)).astype(dtype))
+    return row
 
 
 class TestKappaProfile:
@@ -313,7 +338,7 @@ class TestMtoRto:
             max(rto_beta_from_table(table, b) for b in betas),
         )
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
+            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
             _precharge_minima.cache_clear()  # the cache does not see the budget
             assert (mto(sbox), rto(sbox)) == expected, budget
 
@@ -323,10 +348,11 @@ class TestMtoRto:
         sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
         table = cross_correlation_naive(sbox)
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
-            # Rows of 2^L pre-charges, L the largest <= m - 1 that fits the
-            # budget; the sweep reuses its arrays, so keep a copy of each row.
-            low = max(k for k in range(m) if k == 0 or (m << (n + k)) <= budget)
+            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
+            # Rows of 2^L pre-charges, L the largest <= m - 1 whose int64
+            # entries fit the budget; the sweep reuses its arrays, so keep a
+            # copy of each row.
+            low = max(k for k in range(m) if k == 0 or (8 * m << (n + k)) <= budget)
             blocks = [[row.copy() for row in block] for block in _precharge_sweep(sbox)]
             assert len(blocks) == 1 << (m - 1 - low)
             assert all(len(signs) == 1 << low for signs, _, _ in blocks)
@@ -405,26 +431,26 @@ class TestStacks:
         calls = stack_metrics(family[0].m)
         each = {name: [f(sbox) for sbox in family] for name, f in calls.items()}
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", budget)
+            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
             assert {name: f(family) for name, f in calls.items()} == each, budget
 
     def test_blocks_hold_at_most_the_budget(self, monkeypatch):
-        # 40 S-boxes of 8 x 2^8 entries are scored 16, 16 and 8 at a time;
-        # a budget below one S-box still scores one at a time.
+        # 40 S-boxes of 8 x 2^8 float32 entries are scored 32 and 8 at a
+        # time; a budget below one S-box still scores one at a time.
         stacks = []
 
         def recording(tables, m):
             stacks.append(tables.shape)
             return spectra(tables, m)
 
-        assert metrics_mod._SWEEP_ELEMENTS == 16 * 8 * 256
+        assert metrics_mod._BLOCK_BYTES == 32 * 8 * 256 * 4
         spectra = metrics_mod._spectra
         monkeypatch.setattr(metrics_mod, "_spectra", recording)
         family = batch_family("bijective-8")
         transparency_order(family)
-        assert stacks == [(16, 256), (16, 256), (8, 256)]
+        assert stacks == [(32, 256), (8, 256)]
         stacks.clear()
-        monkeypatch.setattr(metrics_mod, "_SWEEP_ELEMENTS", 1)
+        monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 1)
         mto_beta_zero(family[:3])
         assert stacks == [(1, 256)] * 3
         stacks.clear()
@@ -580,6 +606,73 @@ class TestSpectralCore:
         assert ccv_v > 0 and 0 <= to_v <= n and mto0 <= rto0 <= n
         assert row_sums[0::2] == [2**n] * 4
         assert all(s <= b for s, b in zip(row_sums[1::2], inverse_bounds))
+
+
+# (n, m) on each side of the dtype rule: float32 exactly when m^2 4^n < 2^24.
+FLOAT32_SHAPES = ((8, 8), (5, 16), (10, 2))
+FLOAT64_SHAPES = ((8, 16), (9, 9), (16, 16))
+SIX_METRICS = (ccv, transparency_order, mto_beta_zero, rto_beta_zero, mto, rto)
+
+
+def six_metrics(sbox, metrics=SIX_METRICS):
+    _precharge_minima.cache_clear()  # the cache does not see the dtype
+    return [f(sbox) for f in metrics]
+
+
+class TestComputeDtype:
+    """The metric path runs in float32 where every value fits its 24-bit
+    mantissa, and in float64 elsewhere, with the same values either way."""
+
+    @pytest.mark.parametrize("n,m", FLOAT32_SHAPES + FLOAT64_SHAPES)
+    def test_rule_and_values(self, n, m, monkeypatch):
+        want = np.float32 if (n, m) in FLOAT32_SHAPES else np.float64
+        assert metrics_mod._dtype(n, m) is want
+        assert ((m * m << 2 * n) < 2**24) == (want is np.float32)
+        rnd = random.Random(n * 100 + m)
+        sbox = SBox(n, m, [rnd.randrange(1 << m) for _ in range(1 << n)])
+        if (n, m) == (16, 16):
+            # The full-beta sweep (about 80 s) and the O(m^2 4^n) oracles are
+            # out of reach; a constant table has known values.
+            metrics = SIX_METRICS[:4]
+            assert six_metrics(constant_sbox(n, m, 0), metrics) == [0.0, 0.0, m - m * m, m - m * m]
+        else:
+            metrics = SIX_METRICS
+            table = cross_correlation_naive(sbox)
+            assert np.array_equal(cross_correlation_fast(sbox), table)
+            assert np.array_equal(kappa_profile(sbox), kappa_profile_direct(sbox.table, n))
+            oracle = [
+                ccv_key_from_profile(kappa_profile_direct(sbox.table, n)).value,
+                to_from_table(table),
+                mto_beta_from_table(table, 0),
+                rto_beta_from_table(table, 0),
+                *precharge_extremes_from_table(table),
+            ]
+            assert six_metrics(sbox) == oracle
+        values = six_metrics(sbox, metrics)
+        monkeypatch.setattr(metrics_mod, "_dtype", lambda n, m: np.float64)
+        assert six_metrics(sbox, metrics) == values
+        _precharge_minima.cache_clear()
+
+    def test_8x8_transforms_in_float32(self, monkeypatch):
+        # A silent fallback to float64 on the experiment's metrics fails
+        # here: every transform of TO, MTO0, RTO0 and CCV at n = m = 8 takes
+        # and returns float32, one S-box or a stack.
+        dtypes = []
+
+        def recording(mat):
+            out = _fwht_rows(mat)
+            dtypes.append((mat.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(metrics_mod, "_fwht_rows", recording)
+        family = batch_family("bijective-8")
+        for f in (transparency_order, mto_beta_zero, rto_beta_zero):
+            f(family)
+            f(family[0])
+        ccv(family[0])
+        # Two transforms a block: blocks of 32 and 8, then one S-box.
+        assert len(dtypes) == 3 * (4 + 2) + 2
+        assert set(dtypes) == {(np.dtype(np.float32),) * 2}
 
 
 class TestCcvIncremental:
