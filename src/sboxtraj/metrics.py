@@ -31,10 +31,11 @@ bit clear, and one sweep (`_precharge_sweep`) yields both: for each
 representative, inner[j] = sum_i (-1)^b_i C[i, j] for MTO and the
 autocorrelation A = sum_j (-1)^b_j inner[j] of u for RTO.  The sweep holds a
 block of 2^L rows, one per setting of the low L signs, with L as large as
-`_BLOCK_BYTES` allows (L = 0 at n = m = 16), and walks the other signs
-in Gray-code order.  Flipping sign k, of value s, adds -2 s C[k] to inner
-and, since C[i, j] = C[j, i], -4 s inner[k] + 4 C[k, k] to A: O(m 2^n) and
-O(2^n) per row and step, with no product by the signs.  Each entry of C is
+the package's one cache bound, `sbox.rows_within`, allows (L = 0 at
+n = m = 16), and walks the other signs in Gray-code order.  Flipping sign
+k, of value s, adds -2 s C[k] to inner and, since C[i, j] = C[j, i],
+-4 s inner[k] + 4 C[k, k] to A: O(m 2^n) and O(2^n) per row and step, with
+no product by the signs.  Each entry of C is
 a sum of 2^n signs, so even.  A is a multiple of 4: for a != 0, A[a] is
 twice a sum over the 2^(n-1) pairs {x, x^a} of u(x) u(x^a), terms of one
 parity since u = m (mod 2), so an even sum for n >= 2; A[0] = sum u^2 is a
@@ -74,12 +75,13 @@ forms take one S-box or a sequence of S-boxes of one (n, m).  The arrays
 above then carry the members on a leading axis: the spectra of k S-boxes are
 (k, m, 2^n), components on axis -2, and each metric reduces them to k
 totals.  `_stack_scores` scores a sequence in blocks whose spectra (k m 2^n
-entries) take at most `_BLOCK_BYTES` = 256 KiB, the bound of the sweep's
-blocks too: 32 S-boxes at n = m = 8 in float32, 16 in float64.  That keeps a
-block's temporaries in cache; one S-box is a block of one through the same
-code.  The bounds above hold row by row, so a stack changes none of them,
-and each block's totals become int64, then Python ints, before `_score`: a
-value is bit-identical however its S-box was batched.
+entries) take at most `sbox._BLOCK_BYTES` = 256 KiB, through the
+`sbox.rows_within` rule that sizes the sweep's blocks too: 32 S-boxes at
+n = m = 8 in float32, 16 in float64.  That keeps a block's temporaries in
+cache.  One S-box is scored as a sequence of one, through the same loop.
+The bounds above hold row by row, so a stack changes none of them, and each
+block's totals become int64, then Python ints, before `_score`: a value is
+bit-identical however its S-box was batched.
 
 `_METRICS` is the one map from a metric name to its function; the CLI and the
 experiment driver evaluate it through `metric_value`, which takes one S-box
@@ -93,13 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sbox import SBox
-
-# Largest number of bytes (256 KiB) in one block of work: the pre-charge
-# rows that `_precharge_sweep` updates together, or the stacked spectra
-# (members x m x 2^n) that `_stack_scores` scores together.  It is the one
-# cache bound of the module: larger blocks leave the cache.
-_BLOCK_BYTES = 1 << 18
+from .sbox import SBox, rows_within
 
 
 def _dtype(n: int, m: int) -> type:
@@ -283,17 +279,15 @@ def _stack_scores(sboxes: SBox | Iterable[SBox], totals, beta: int = 0) -> float
     sequence of S-boxes of one (n, m); `totals(spectra)` maps spectra
     (k, m, 2^n) to the k totals.
 
-    A sequence is stacked and scored in blocks whose spectra (members x m x
-    2^n entries of the dtype `_dtype` picks) take at most `_BLOCK_BYTES`, at
-    least one member each; one S-box is a stack of one, a view of its
-    table.  A block's totals become int64 and then Python ints before
-    `_score`, so a value does not depend on its block.  ValueError
-    for a sequence of mixed widths or a beta that does not fit in m bits;
-    an empty sequence gives [].
+    A sequence is stacked and scored in blocks of `sbox.rows_within` its
+    members' spectra (m x 2^n entries each of the dtype `_dtype` picks);
+    one S-box is a sequence of one.  A block's totals become int64 and
+    then Python ints before `_score`, so a value does not depend on its
+    block.  ValueError for a sequence of mixed widths or a beta that does
+    not fit in m bits; an empty sequence gives [].
     """
     if isinstance(sboxes, SBox):
-        _check_beta(sboxes, beta)
-        return _score(sboxes, int(totals(_spectra(sboxes.table[None], sboxes.m))[0]))
+        return _stack_scores([sboxes], totals, beta)[0]
     sboxes = list(sboxes)
     if not sboxes:
         return []
@@ -301,8 +295,7 @@ def _stack_scores(sboxes: SBox | Iterable[SBox], totals, beta: int = 0) -> float
     if any((sbox.n, sbox.m) != (first.n, first.m) for sbox in sboxes):
         raise ValueError("the S-boxes of a sequence must share n and m")
     _check_beta(first, beta)
-    member_bytes = first.m * first.size * np.dtype(_dtype(first.n, first.m)).itemsize
-    per_block = max(1, _BLOCK_BYTES // member_bytes)
+    per_block = rows_within(first.m * first.size * np.dtype(_dtype(first.n, first.m)).itemsize)
     values = []
     for start in range(0, len(sboxes), per_block):
         tables = np.stack([sbox.table for sbox in sboxes[start : start + per_block]])
@@ -402,10 +395,9 @@ def _flip(bit: int, c, signs, half, quarter) -> None:
 
 def _block_bits(sbox: SBox) -> int:
     """L, the number of low signs one block of the sweep spans: the largest
-    L <= m - 1 whose 2^L m 2^n int64 entries take at most _BLOCK_BYTES,
-    else 0."""
-    fit = _BLOCK_BYTES // (sbox.m * sbox.size * np.dtype(np.int64).itemsize)
-    return max(0, min(sbox.m - 1, fit.bit_length() - 1))
+    L <= m - 1 with 2^L at most `sbox.rows_within` rows of m 2^n int64
+    entries, so 0 when not even two rows fit."""
+    return min(sbox.m - 1, rows_within(sbox.m * sbox.size * 8).bit_length() - 1)
 
 
 def _precharge_sweep(sbox: SBox):

@@ -20,34 +20,42 @@ _GOLDEN = 0x9E3779B97F4A7C15
 SEED_MIXER_ID = "splitmix64-path-v1"
 
 
-def _mix64(z):
-    """splitmix64 finalizer: a bijective 64-bit avalanche mix, of a Python
-    int or of each entry of a numpy uint64 array (which wraps mod 2^64)."""
-    z = z & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer: a bijective 64-bit avalanche mix of each entry
+    of a numpy uint64 array, whose products wrap mod 2^64.  Arrays only: on
+    a numpy scalar the same products warn of overflow."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
-
-
-def _mix_path(s, path):
-    """derive_seed's mixer from master seed s, mod 2^64, along path
-    entries given as (e + 1) mod 2^64: Python ints for one stream, or numpy
-    uint64 arrays with one entry per stream for many."""
-    s = _mix64(s)
-    for e in path:
-        s = _mix64(s + _GOLDEN * e)
-    return s
 
 
 def derive_seed(master_seed: int, path: tuple[int, ...]) -> int:
     """Mix a master seed and a derivation path into a single 64-bit child seed.
 
     The mixer is ``s = mix64(master)`` followed, for each path index ``e``, by
-    ``s = mix64(s + GOLDEN * (e + 1))`` with GOLDEN = 0x9E3779B97F4A7C15.  This
-    scheme is frozen (see SEED_MIXER_ID); changing it would silently change
-    every seeded result, so treat it as part of the file-format contract.
+    ``s = mix64(s + GOLDEN * (e + 1))`` with GOLDEN = 0x9E3779B97F4A7C15,
+    all mod 2^64.  This scheme is frozen (see SEED_MIXER_ID); changing it
+    would silently change every seeded result, so treat it as part of the
+    file-format contract.  It is the one-stream case of `_seeds`.
     """
-    return _mix_path(int(master_seed) & _MASK64, [(int(e) + 1) & _MASK64 for e in path])
+    return _seeds([(int(master_seed), tuple(map(int, path)))])[0]
+
+
+def _seeds(coordinates: list[tuple[int, tuple[int, ...]]]) -> list[int]:
+    """derive_seed of each (master_seed, path) of Python ints, mixed for
+    all paths of one length at once in numpy uint64."""
+    seeds = [0] * len(coordinates)
+    by_length = {}
+    for k, (_, path) in enumerate(coordinates):
+        by_length.setdefault(len(path), []).append(k)
+    for ks in by_length.values():
+        s = _mix64(np.array([coordinates[k][0] & _MASK64 for k in ks], dtype=np.uint64))
+        for entries in zip(*(coordinates[k][1] for k in ks)):
+            step = np.array([(e + 1) & _MASK64 for e in entries], dtype=np.uint64)
+            s = _mix64(s + step * _GOLDEN)
+        for k, seed in zip(ks, s.tolist()):
+            seeds[k] = seed
+    return seeds
 
 
 class RngStream:
@@ -76,24 +84,6 @@ class RngStream:
         self._rng.shuffle(items)
 
 
-def _seeds(streams: list[RngStream]) -> list[int]:
-    """derive_seed of each stream, mixed for all streams of one path length
-    at once in numpy uint64."""
-    seeds = [0] * len(streams)
-    by_length = {}
-    for k, stream in enumerate(streams):
-        by_length.setdefault(len(stream.path), []).append(k)
-    for ks in by_length.values():
-        masters = np.array([streams[k].master_seed & _MASK64 for k in ks], dtype=np.uint64)
-        path = [
-            np.array([(e + 1) & _MASK64 for e in entries], dtype=np.uint64)
-            for entries in zip(*(streams[k].path for k in ks))
-        ]
-        for k, seed in zip(ks, _mix_path(masters, path).tolist()):
-            seeds[k] = seed
-    return seeds
-
-
 def first_words(streams: list[RngStream], count: int) -> np.ndarray:
     """The first `count` 32-bit Mersenne Twister outputs of each stream, in
     draw order: a (len(streams), count) uint32 array.
@@ -107,7 +97,7 @@ def first_words(streams: list[RngStream], count: int) -> np.ndarray:
     gen = random.Random()
     size = 4 * count
     words = bytearray(size * len(streams))
-    for k, seed in enumerate(_seeds(streams)):
+    for k, seed in enumerate(_seeds([(s.master_seed, s.path) for s in streams])):
         gen.seed(seed)
         words[k * size : (k + 1) * size] = gen.getrandbits(32 * count).to_bytes(size, "little")
     return np.frombuffer(words, dtype="<u4").reshape(len(streams), count)

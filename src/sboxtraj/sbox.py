@@ -23,22 +23,30 @@ MAX_WIDTH = 16
 # Entries per line written by serialize_sbox.
 _PER_LINE = 16
 
+# The one cache bound of the package, 256 KiB per block of work, which
+# `rows_within` turns into rows: metric stacks, pre-charge sweeps, LS-HWF
+# scans and the sampler's np.compress calls.  Larger blocks leave the cache.
+_BLOCK_BYTES = 1 << 18
 # hw_class_shuffle: the words drawn per lane beyond the mean its draws take,
 # in standard deviations.  A draw below b takes 2^k / b words on average (k
-# = b.bit_length()), with variance (2^k - b) 2^k / b^2; a lane that runs
-# short is drawn again, longer.
+# = b.bit_length()), with variance (2^k - b) 2^k / b^2; a call in which a
+# lane runs short is drawn again, longer.
 _HEADROOM = 6
-# The words whose accepted ones one np.compress call picks out, which bounds
-# the index array it makes.
-_PICK_WORDS = 1 << 14
-# The bytes that shuffle_lanes sizes a hw_class_shuffle call to, and the
-# bytes a lane of an n-bit S-box takes at most: _LANE_BYTES[0] per output
-# (tracemalloc peaks of a call: 13 for lanes that share an S-box five by
-# five, 17 for distinct ones, at n = 8 and 12) plus _LANE_BYTES[1] for the
-# lane's stream and result.  3 MiB is 512 lanes at n = 8, and keeps an
-# experiment's peak RSS at what 256-lane calls gave.
+# The bytes that shuffle_lanes sizes a hw_class_shuffle call to (a memory
+# budget per call, not a cache bound), and the bytes a lane of an n-bit
+# S-box takes at most: _LANE_BYTES[0] per output (tracemalloc peaks of a
+# call: 13 for lanes that share an S-box five by five, 17 for distinct
+# ones, at n = 8 and 12) plus _LANE_BYTES[1] for the lane's stream and
+# result.  3 MiB is 512 lanes at n = 8, and keeps an experiment's peak RSS
+# at what 256-lane calls gave.
 _CALL_BYTES = 3 << 20
 _LANE_BYTES = (20, 1024)
+
+
+def rows_within(row_bytes: int) -> int:
+    """The rows of `row_bytes` bytes each that one block of work holds
+    within _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 class SBoxError(ValueError):
@@ -94,7 +102,9 @@ class SBox:
         limit = 1 << self.m
         if table.min() < 0 or table.max() >= limit:
             x = int(np.argmax((table < 0) | (table >= limit)))
-            raise ValueOutOfRangeError(f"table[{x}] = {table[x]} does not fit in m={self.m} bits")
+            value = int(table[x])  # past 64 bits, its width: str() stops at 4300 digits
+            shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
+            raise ValueOutOfRangeError(f"table[{x}] = {shown} does not fit in m={self.m} bits")
         if table.dtype == object:  # floats between integers, or mixed numpy integers
             raise SBoxError("table entries must be integers")
         table = table.astype(np.uint16)
@@ -325,8 +335,9 @@ def _draws(steps: list[int], rngs: list[RngStream], count: int | None = None) ->
     A draw below b is the first unused word w with w < b << (32 - k), k =
     b.bit_length(), shifted down by 32 - k.  The first `count` words of
     every lane (by default the mean its draws take, plus _HEADROOM standard
-    deviations) are scanned word by word, all lanes at once; a lane that
-    runs short is drawn again, twice as long.
+    deviations) are scanned word by word, all lanes at once.  If a lane
+    runs short, the whole call is drawn again, twice as long: every lane's
+    words are a prefix of its longer ones, so no draw changes.
     """
     bounds = np.array(steps, dtype=np.uint32)
     shifts = np.array([32 - b.bit_length() for b in steps], dtype=np.uint32)
@@ -343,17 +354,13 @@ def _draws(steps: list[int], rngs: list[RngStream], count: int | None = None) ->
     for column, taken in zip(words.T, accepted):
         np.less(column, limits[step], out=taken)
         step += taken
-    short = step < len(steps)
-    # Exactly len(steps) words per lane: a short lane takes its first words,
-    # and its draws are replaced below.
-    accepted[:, short] = np.arange(count)[:, None] < len(steps)
+    if (step < len(steps)).any():
+        return _draws(steps, rngs, 2 * count)
+    # Exactly len(steps) accepted words per lane.
     draws = np.empty((len(steps), len(rngs)), dtype=np.uint16)
-    block = max(1, _PICK_WORDS // count)  # lanes per np.compress
+    block = rows_within(16 * count)  # lanes per np.compress, 16 bytes a word
     for lo in range(0, len(rngs), block):
         lane_words = words[lo : lo + block]
         kept = np.compress(accepted[:, lo : lo + block].T.ravel(), lane_words)
         draws[:, lo : lo + block] = (kept.reshape(len(lane_words), len(steps)) >> shifts).T
-    if short.any():
-        again = np.flatnonzero(short)
-        draws[:, again] = _draws(steps, [rngs[k] for k in again], 2 * count)
     return draws

@@ -27,10 +27,10 @@ positive entry is the first improving pair and the climb is the row-by-row
 one; evaluations counts the block's weight-differing entries up to it.  A
 block that accepts nothing doubles r for the next one, an acceptance resets
 r to 1 and the scan goes on from (i, j + 1), so a block of more than one
-row starts at the head of a row.  r is capped at _SCAN_ELEMENTS // 2^n
-(2^13 entries, 64 KB per int64 temporary; the fastest of 2^11-2^15 at
-n = 9 and 10) and cut at the last row.  Most rows of a late pass accept
-nothing and go by in a few blocks.
+row starts at the head of a row.  r is capped at `sbox.rows_within(32 2^n)`,
+32 bytes per entry as for four int64 temporaries, so at 2^13 entries, 64 KB
+per temporary (the fastest of 2^11-2^15 at n = 9 and 10), and cut at the
+last row.  Most rows of a late pass accept nothing and go by in a few blocks.
 
 Swap update.  Accepting (i, j) changes S by dS[d] = 4 delta (h(j^d) - h(i^d)),
 with dS[0] = dS[e] = 0.  With dH[x] = 4 delta (h[x^e] - h[x]), dS[d] is
@@ -66,13 +66,10 @@ import numpy as np
 
 from .metrics import CcvKey, _correlate, _fwht_rows, ccv_key_from_profile, kappa_profile
 from .rng import RngStream
-from .sbox import SBox, SBoxError, random_bijective_sbox
+from .sbox import SBox, SBoxError, random_bijective_sbox, rows_within
 
 # Largest input width the search takes.
 MAX_SEARCH_WIDTH = 12
-
-# Entries per scanned block, 64 KB per int64 temporary: 2^13 // 2^n rows.
-_SCAN_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def ls_hwf(n: int, rng: RngStream) -> SearchResult:
     g = _convolve(h, s)
     key = ccv_key_from_profile(s)
     positions = np.arange(size)
-    most_rows = max(1, _SCAN_ELEMENTS >> n)
+    most_rows = rows_within(32 << n)
 
     events: list[ClimbEvent] = []
     evaluations, passes, climbs = 0, 0, -1

@@ -11,7 +11,8 @@ climber `ls_hwf_batched` are built on it, and the search's closed-form gain
 and O(2^n) update are checked against them.  `ls_hwf_rows` is the search's
 scan one row at a time, the reference for its block scan.
 `hw_class_shuffle_reference` states the draw contract of the package's class
-shuffle on a plain table.  The frozen AES constants at the bottom were
+shuffle on a plain table, and `derive_seed_reference` the frozen seed mixer
+in Python integers.  The frozen AES constants at the bottom were
 computed with the exact-rational version of these oracles before the package
 was built.
 """
@@ -341,6 +342,25 @@ def hw_class_shuffle_reference(table, m: int, rnd) -> list[int]:
             for x, v in zip(positions, values):
                 out[x] = v
     return out
+
+
+
+def _splitmix64_reference(z: int) -> int:
+    mask = (1 << 64) - 1
+    z &= mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def derive_seed_reference(master_seed: int, path) -> int:
+    """The splitmix64 path mixer in Python integers: s = mix64(master mod
+    2^64), then s = mix64(s + GOLDEN (e + 1)) mod 2^64 for each path
+    entry e, with GOLDEN = 0x9E3779B97F4A7C15."""
+    s = _splitmix64_reference(master_seed)
+    for e in path:
+        s = _splitmix64_reference(s + 0x9E3779B97F4A7C15 * (e + 1))
+    return s
 
 
 AES_SBOX = (

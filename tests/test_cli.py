@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from sboxtraj import (
     serialize_sbox,
     transparency_order,
 )
+import sboxtraj
 from sboxtraj.cli import main
 
 from builders import identity_sbox
@@ -96,6 +100,19 @@ class TestMetricsCommand:
         path.write_text("0 1 2 \u0663", encoding="utf-8")
         assert main(["metrics", "--sbox", str(path), "--n", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: cannot parse token")
+
+    def test_huge_token_exit_1_without_traceback(self, tmp_path):
+        # A fresh interpreter, so stderr shows everything the process prints.
+        path = tmp_path / "huge.txt"
+        path.write_text("0x" + "f" * 4000 + " 1 2 3\n")
+        src = Path(sboxtraj.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "sboxtraj.cli", "metrics", "--sbox", str(path), "--n", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: table[0] = a 16000-bit integer")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["metrics", "--sbox", str(tmp_path / "nope.txt"), "--n", "2"]) == 1

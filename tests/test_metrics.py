@@ -23,6 +23,7 @@ from sboxtraj import (
     transparency_order,
 )
 import sboxtraj.metrics as metrics_mod
+import sboxtraj.sbox as sbox_mod
 from sboxtraj.metrics import _fwht_rows, _precharge_minima, _precharge_sweep, ccv_key_from_profile
 from sboxtraj.sbox import MAX_WIDTH, SBoxError
 
@@ -54,7 +55,7 @@ REL = 1e-12
 
 # Block budgets in bytes, of the pre-charge sweep and the stacks: less than
 # one row or member per block, a few rows, and the default.
-SWEEP_BUDGETS = (1, 1 << 12, metrics_mod._BLOCK_BYTES)
+SWEEP_BUDGETS = (1, 1 << 12, sbox_mod._BLOCK_BYTES)
 
 
 def aes_sbox():
@@ -338,7 +339,7 @@ class TestMtoRto:
             max(rto_beta_from_table(table, b) for b in betas),
         )
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(sbox_mod, "_BLOCK_BYTES", budget)
             _precharge_minima.cache_clear()  # the cache does not see the budget
             assert (mto(sbox), rto(sbox)) == expected, budget
 
@@ -348,7 +349,7 @@ class TestMtoRto:
         sbox = SBox(n, m, tuple(rnd.randrange(1 << m) for _ in range(1 << n)))
         table = cross_correlation_naive(sbox)
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(sbox_mod, "_BLOCK_BYTES", budget)
             # Rows of 2^L pre-charges, L the largest <= m - 1 whose int64
             # entries fit the budget; the sweep reuses its arrays, so keep a
             # copy of each row.
@@ -431,7 +432,7 @@ class TestStacks:
         calls = stack_metrics(family[0].m)
         each = {name: [f(sbox) for sbox in family] for name, f in calls.items()}
         for budget in SWEEP_BUDGETS:
-            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(sbox_mod, "_BLOCK_BYTES", budget)
             assert {name: f(family) for name, f in calls.items()} == each, budget
 
     def test_blocks_hold_at_most_the_budget(self, monkeypatch):
@@ -443,14 +444,14 @@ class TestStacks:
             stacks.append(tables.shape)
             return spectra(tables, m)
 
-        assert metrics_mod._BLOCK_BYTES == 32 * 8 * 256 * 4
+        assert sbox_mod._BLOCK_BYTES == 32 * 8 * 256 * 4
         spectra = metrics_mod._spectra
         monkeypatch.setattr(metrics_mod, "_spectra", recording)
         family = batch_family("bijective-8")
         transparency_order(family)
         assert stacks == [(32, 256), (8, 256)]
         stacks.clear()
-        monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(sbox_mod, "_BLOCK_BYTES", 1)
         mto_beta_zero(family[:3])
         assert stacks == [(1, 256)] * 3
         stacks.clear()

@@ -13,17 +13,20 @@ from sboxtraj import (
     ValueOutOfRangeError,
     WrongLengthError,
     hw_class_shuffle,
+    ls_hwf,
     parse_sbox,
     random_bijective_sbox,
     serialize_sbox,
     swap_outputs,
 )
+import sboxtraj.metrics as metrics_mod
 import sboxtraj.sbox as sbox_module
+import sboxtraj.search as search_mod
 from sboxtraj.rng import _seeds, derive_seed, first_words
 from sboxtraj.sbox import IndexOutOfRangeError
 
 from builders import constant_sbox, identity_sbox
-from oracles import hw, hw_class_shuffle_reference
+from oracles import derive_seed_reference, hw, hw_class_shuffle_reference
 
 
 @pytest.mark.parametrize("value,expected", [(0, 0), (255, 8), (0b1011, 3), (1, 1), (2**15, 1)])
@@ -52,6 +55,16 @@ class TestParse:
     def test_malformed_token(self):
         with pytest.raises(MalformedTokenError):
             parse_sbox("0 1 two 3", 2, 2)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_huge_hex_token_out_of_range(self, first):
+        # int() reads any number of hex digits, but str() of the value, past
+        # 4300 decimal digits, raises a plain ValueError.
+        huge = "0x" + "f" * 4000
+        text = f"{huge} 1 2 3" if first else f"0 1 2 {huge}"
+        with pytest.raises(ValueOutOfRangeError, match="16000-bit") as excinfo:
+            parse_sbox(text, 2, 2)
+        assert len(str(excinfo.value)) < 100
 
     @pytest.mark.parametrize(
         "text",
@@ -170,6 +183,13 @@ class TestSBoxValidation:
         with pytest.raises(ValueOutOfRangeError):
             SBox(2, 2, table)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_entry_rejected_with_its_width(self, sign):
+        # str() of the value, past 4300 decimal digits, raises a plain
+        # ValueError; the message gives its width instead.
+        with pytest.raises(ValueOutOfRangeError, match=r"^table\[0\] = a 20001-bit integer"):
+            SBox(4, 4, [sign * 2**20000] + [1] * 15)
+
     def test_numpy_integer_entries(self):
         sbox = SBox(2, 2, tuple(np.arange(4, dtype=np.int64)[::-1]))
         assert sbox.table.tolist() == [3, 2, 1, 0]
@@ -205,6 +225,20 @@ class TestRngStream:
         assert derive_seed(0, ()) == 0
         assert derive_seed(12345, (1, 2, 3)) == 2279600471504032616
         assert derive_seed(2**64 - 1, (0,)) == 11923130667873509210
+        # Masters below zero or past 64 bits, and a path entry past 64 bits,
+        # all taken mod 2^64.
+        assert derive_seed(-1, ()) == 13029008266876403067
+        assert derive_seed(-12345, (4, 5)) == 90229787700361031
+        assert derive_seed(2**64, ()) == 0
+        assert derive_seed(2**70 + 9, (1,)) == 9098563821330842174
+        assert derive_seed(7, (2**80 + 3,)) == 16292704262132694875
+
+    def test_derive_seed_builds_no_stream(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derive_seed built an RngStream")
+
+        monkeypatch.setattr(RngStream, "__init__", refuse)
+        assert derive_seed(12345, (1, 2, 3)) == 2279600471504032616
 
     def test_same_path_same_sequence(self):
         a = RngStream(99, (1, 2))
@@ -231,7 +265,8 @@ class TestRngStream:
 
     def test_seeds_of_many_streams_are_derive_seed(self):
         # Paths of mixed lengths and entries past 64 bits or below zero, on
-        # masters past 64 bits or below zero.
+        # masters past 64 bits or below zero, against the mixer in Python
+        # integers; derive_seed is _seeds of one stream.
         rnd = random.Random(5)
         entries = [0, 7, -1, 2**64 - 1, 2**64, 2**80 + 3]
         streams = [
@@ -241,7 +276,9 @@ class TestRngStream:
             )
             for _ in range(300)
         ]
-        assert _seeds(streams) == [derive_seed(s.master_seed, s.path) for s in streams]
+        expected = [derive_seed_reference(s.master_seed, s.path) for s in streams]
+        assert _seeds([(s.master_seed, s.path) for s in streams]) == expected
+        assert [derive_seed(s.master_seed, s.path) for s in streams] == expected
         assert _seeds([]) == []
 
     def test_child_extends_path(self):
@@ -390,8 +427,8 @@ class TestHwClassShuffle:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_more_words_drawn_when_a_lane_runs_short(self, n, monkeypatch):
         # With no headroom at all each lane first gets one word per draw,
-        # so nearly every lane runs short, and is drawn again, twice as
-        # long, until its draws fit.
+        # so nearly every lane runs short, and the whole call is drawn
+        # again, twice as long, until every lane's draws fit.
         calls = []
 
         def counted(streams, count):
@@ -407,7 +444,7 @@ class TestHwClassShuffle:
         lanes, counts = zip(*calls)
         assert lanes[0] == len(sboxes) and counts[0] == max(1, draws)
         assert all(b == 2 * a for a, b in zip(counts, counts[1:]))
-        assert all(b <= a for a, b in zip(lanes, lanes[1:]))
+        assert set(lanes) == {len(sboxes)}
         if n > 2:
             assert len(calls) >= 2
 
@@ -510,3 +547,72 @@ class TestHwClassShuffle:
         # The class sizes are what the lanes must share: (1, 2, 1) here.
         sboxes = [SBox(2, 2, (0, 1, 2, 3)), SBox(2, 3, (1, 0, 4, 6))]
         assert_draws_match_reference(sboxes, [(3, (k,)) for k in range(2)])
+
+
+class TestBlockSizes:
+    """Every block of work takes its size from rows_within, the one cache
+    bound of the package, and keeps the size it had when each module held a
+    constant of its own."""
+
+    @staticmethod
+    def record(monkeypatch, module):
+        """The row counts that `module`'s calls of rows_within return."""
+        given, rows_within = [], sbox_module.rows_within
+
+        def recording(row_bytes):
+            given.append(rows_within(row_bytes))
+            return given[-1]
+
+        monkeypatch.setattr(module, "rows_within", recording)
+        return given
+
+    @pytest.mark.parametrize("n,rows", [(2, 2048), (9, 16), (12, 2)])
+    def test_ls_hwf_rows_per_block(self, n, rows, monkeypatch):
+        given = self.record(monkeypatch, search_mod)
+        blocks = []
+
+        def spy(h, s, g, positions, i, block_rows, j_next):
+            blocks.append(block_rows)
+            return gains(h, s, g, positions, i, block_rows, j_next)
+
+        gains = search_mod._gains
+        monkeypatch.setattr(search_mod, "_gains", spy)
+        ls_hwf(n, RngStream(1, (n,)))
+        assert given == [rows]
+        # At n = 2 the three rows to scan come in blocks of one and two.
+        assert max(blocks) == (2 if n == 2 else rows)
+
+    @pytest.mark.parametrize("n,words,lanes", [(8, 454, 36), (12, 6211, 2)])
+    def test_draws_lanes_per_compress(self, n, words, lanes, monkeypatch):
+        given = self.record(monkeypatch, sbox_module)
+        counts = []
+
+        def counted(streams, count):
+            counts.append(count)
+            return first_words(streams, count)
+
+        monkeypatch.setattr(sbox_module, "first_words", counted)
+        sbox = random_bijective_sbox(n, RngStream(1))
+        sbox_module._shuffle_classes([sbox] * 3, [RngStream(2, (k,)) for k in range(3)])
+        assert (counts, given) == ([words], [lanes])
+
+    @pytest.mark.parametrize("dtype,members", [(np.float32, 32), (np.float64, 16)])
+    def test_stack_members_per_block(self, dtype, members, monkeypatch):
+        # 8x8 S-boxes: float32 is the dtype of their path; float64 is the
+        # dtype of every wider one.
+        stacks = []
+
+        def recording(tables, m):
+            stacks.append(len(tables))
+            return spectra(tables, m)
+
+        spectra = metrics_mod._spectra
+        monkeypatch.setattr(metrics_mod, "_spectra", recording)
+        monkeypatch.setattr(metrics_mod, "_dtype", lambda n, m: dtype)
+        family = [random_bijective_sbox(8, RngStream(20, (k,))) for k in range(members + 1)]
+        metrics_mod.transparency_order(family)
+        assert stacks == [members, 1]
+
+    def test_sweep_block_bits(self):
+        assert metrics_mod._block_bits(identity_sbox(8)) == 4
+        assert metrics_mod._block_bits(identity_sbox(16)) == 0

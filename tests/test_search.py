@@ -14,6 +14,7 @@ from sboxtraj import (
     random_bijective_sbox,
     swap_outputs,
 )
+import sboxtraj.sbox as sbox_mod
 import sboxtraj.search as search_mod
 from sboxtraj.search import _convolve, _gains, _swap, check_search_width
 
@@ -168,10 +169,10 @@ class TestLsHwf:
         assert peak < 16 * 2**20
 
     def test_scan_temporaries_do_not_outlive_their_block(self):
-        # At n = 9 a block's int64 temporaries are 64 KB each (_SCAN_ELEMENTS
-        # entries); beyond what the result keeps, a search holds at most six
-        # at once (330 KB measured), so no block's arrays live on through the
-        # swap and the next block.
+        # At n = 9 a block's int64 temporaries are 64 KB each (16 rows of
+        # 2^9 entries); beyond what the result keeps, a search holds at most
+        # six at once (330 KB measured), so no block's arrays live on through
+        # the swap and the next block.
         tracemalloc.start()
         try:
             result = ls_hwf(9, RngStream(9, (9,)))
@@ -179,7 +180,7 @@ class TestLsHwf:
         finally:
             tracemalloc.stop()
         assert result.events
-        assert peak - current <= 6 * 8 * search_mod._SCAN_ELEMENTS
+        assert peak - current <= 6 * 8 * (sbox_mod.rows_within(32 << 9) << 9)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_oracle_climber(self, n):
@@ -208,7 +209,7 @@ class TestBlockScan:
     @pytest.mark.parametrize("n", range(5, 9))
     def test_matches_row_reference_at_small_budgets(self, n, budget_rows, monkeypatch):
         size = 1 << n
-        monkeypatch.setattr(search_mod, "_SCAN_ELEMENTS", budget_rows << n)
+        monkeypatch.setattr(sbox_mod, "_BLOCK_BYTES", budget_rows * (32 << n))
         blocks = []
 
         def spy(h, s, g, positions, i, rows, j_next):
